@@ -569,9 +569,9 @@ def test_micro_scheduler_makespan(benchmark):
 
 
 def test_micro_scheduler_claim_batch(benchmark):
-    """Draining a 64-task file queue with ``claim_batch(8)`` vs one claim
-    per listing: the batched path amortizes the directory scan that
-    dominates claim latency on cold filesystem caches."""
+    """Draining a 64-task local-directory queue (``FileQueue``) with
+    ``claim_batch(8)`` vs one claim per ``pending/`` listing: the batched
+    path amortizes the listing, which dominates claim latency."""
     from repro.parallel import job as make_job
     from repro.sweep import CellTask, FileQueue
 

@@ -20,7 +20,10 @@ Asserted invariants:
   (store and queue both on the bucket), and still completes — with
   row-identical output — after one worker is SIGKILLed mid-sweep: its
   expired lease is stolen and the cell re-executed (``attempt >= 2`` on
-  the store record).
+  the store record);
+* the same kill-one-worker shard runs again with store and queue on
+  ``file://`` directories, so crash recovery across processes sharing a
+  local directory is proven by the same lease protocol.
 
 Usage::
 
@@ -103,16 +106,21 @@ def run_sweep(
     return strip_timing(table.rows)
 
 
-def run_remote_queue_sweep(label: str, workdir: Path, env: dict):
-    """Fully remote fleet: store AND queue on the bucket, one worker killed.
+def run_remote_queue_sweep(
+    label: str,
+    workdir: Path,
+    env: dict,
+    store_url: str,
+    queue_url: str,
+    flavor: str,
+):
+    """A fleet sharing only store and queue URLs, one worker killed.
 
     Every worker gets a private ``--dir`` — the only thing they share is
-    the bucket URL.  One worker is SIGKILLed mid-sweep; the sweep must
+    the two URLs.  One worker is SIGKILLed mid-sweep; the sweep must
     still complete via lease expiry → steal → re-execution.  Returns the
     stripped collected rows.
     """
-    store_url = "s3://sweep-e2e-remote"
-    queue_url = "s3://sweep-e2e-remote/fleet-queue"
     lease = 4.0
     directory = SweepDirectory(
         workdir / "submit",
@@ -120,7 +128,7 @@ def run_remote_queue_sweep(label: str, workdir: Path, env: dict):
         queue_url=queue_url,
         lease_seconds=lease,
     )
-    assert directory.queue.flavor == "object", directory.queue.describe()
+    assert directory.queue.flavor == flavor, directory.queue.describe()
     report = submit(directory, "figure6", options=REDUCED)
     assert report.total == 4 and report.enqueued == 4, report.summary()
     print(f"[{label}] {report.summary()}", flush=True)
@@ -221,8 +229,24 @@ def main() -> int:
         env = {**base_env, "ISEGEN_S3_ENDPOINT": server.endpoint}
         print(f"[remote-queue] FakeObjectServer at {server.endpoint}", flush=True)
         remote_rows = run_remote_queue_sweep(
-            "remote-queue", workdir / "remote-queue", env
+            "remote-queue",
+            workdir / "remote-queue",
+            env,
+            store_url="s3://sweep-e2e-remote",
+            queue_url="s3://sweep-e2e-remote/fleet-queue",
+            flavor="object",
         )
+
+    # The same SIGKILL recovery with store and queue on local directories.
+    fleet = workdir / "file-queue" / "shared"
+    file_queue_rows = run_remote_queue_sweep(
+        "file-queue",
+        workdir / "file-queue",
+        base_env,
+        store_url=f"file://{fleet / 'store'}",
+        queue_url=f"file://{fleet / 'queue'}",
+        flavor="file",
+    )
 
     serial_rows = strip_timing(
         run_figure6(io_sweep=[(2, 1), (4, 2)], nise_values=[1], quick_genetic=True).rows
@@ -233,11 +257,14 @@ def main() -> int:
     assert remote_rows == serial_rows, (
         "remote-queue rows differ from the serial harness"
     )
+    assert file_queue_rows == serial_rows, (
+        "file-queue rows differ from the serial harness"
+    )
     assert file_rows == s3_rows
     print(
         f"sweep-e2e OK: {len(file_rows)} figure6 rows identical across "
-        "serial, file:// (fifo and lpt), s3:// store, and the fully remote "
-        "s3:// queue with a SIGKILLed worker (2 workers each), "
+        "serial, file:// (fifo and lpt), s3:// store, and the s3:// and "
+        "file:// queues with a SIGKILLed worker (2 workers each), "
         "100% cache hits on resubmit, batched probes",
         flush=True,
     )

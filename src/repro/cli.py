@@ -817,9 +817,8 @@ def _add_sweep_parsers(subparsers) -> None:
         sub.add_argument(
             "--queue-url",
             default=None,
-            help="relocate the work queue itself: file:///path keeps the "
-            "shared-directory FileQueue, s3://bucket/prefix or mem://name "
-            "runs the claim/lease protocol over conditional PUTs on that "
+            help="relocate the work queue itself: file:///path onto another "
+            "shared directory, s3://bucket/prefix or mem://name onto that "
             "backend — workers then coordinate through the bucket alone, "
             "no shared filesystem.  Pass the same URL to every sweep "
             "subcommand touching the sweep (default: <--dir>/queue)",

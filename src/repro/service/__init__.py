@@ -3,8 +3,8 @@
 The package turns the batch pipeline online: clients ``POST`` a job —
 a registered sweep, a registered workload + config overrides, or inline
 serialized IR — and the service enqueues its cells on the existing
-sweep :class:`~repro.sweep.filequeue.QueueBackend` (``file://`` or
-``s3://``), while any worker fleet drains them into the
+sweep work queue (:class:`~repro.sweep.filequeue.ObjectQueue`, on a
+directory or a bucket), while any worker fleet drains them into the
 content-addressed :class:`~repro.sweep.store.ResultStore`.  Results are
 read straight from the store, so identical submissions — from any
 client — are instant cache hits that enqueue nothing.

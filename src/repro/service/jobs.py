@@ -1,10 +1,10 @@
 """Job lifecycle over the sweep substrate: submit → queue → store → rows.
 
 :class:`JobManager` is the service's stateful core, and it owns **no
-execution**: submission enqueues cells on the sweep directory's
-:class:`~repro.sweep.filequeue.QueueBackend` (``file://`` or ``s3://`` —
-whatever worker fleet is attached), and results are read straight from
-the content-addressed :class:`~repro.sweep.store.ResultStore`.
+execution**: submission enqueues cells on the sweep directory's work
+queue (:class:`~repro.sweep.filequeue.ObjectQueue`, on a directory or a
+bucket — whatever worker fleet is attached), and results are read
+straight from the content-addressed :class:`~repro.sweep.store.ResultStore`.
 
 Job records are tiny JSON blobs under the sweep storage backend::
 

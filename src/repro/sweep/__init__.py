@@ -9,10 +9,8 @@ resumable execution service:
 * :mod:`repro.sweep.objectstore` — the S3-dialect REST backend and the
   in-repo offline :class:`~repro.sweep.objectstore.FakeObjectServer`;
 * :mod:`repro.sweep.store` — the content-addressed JSON result store;
-* :mod:`repro.sweep.filequeue` — shared-directory claim/lease work queue
-  (and the :class:`~repro.sweep.filequeue.QueueBackend` protocol);
-* :mod:`repro.sweep.remotequeue` — the same claim/lease protocol over
-  object-store conditional PUTs (fully remote fleets);
+* :mod:`repro.sweep.filequeue` — the claim/lease work queue over any
+  storage backend (a shared directory or an ``s3://`` bucket);
 * :mod:`repro.sweep.sigv4` — pure-stdlib AWS SigV4 request signing;
 * :mod:`repro.sweep.costmodel` — profile-guided per-cell runtime model
   feeding the ``lpt`` schedule of every executor;
@@ -31,8 +29,14 @@ from .storage import (
     storage_from_url,
 )
 from .store import GCReport, ResultStore, StoreScan, StoreStats
-from .filequeue import Backoff, CellTask, FileQueue, QueueBackend, worker_identity
-from .remotequeue import ObjectQueue, queue_from_url
+from .filequeue import (
+    Backoff,
+    CellTask,
+    FileQueue,
+    ObjectQueue,
+    queue_from_url,
+    worker_identity,
+)
 from .costmodel import (
     CostModel,
     affinity_key,
@@ -93,7 +97,6 @@ __all__ = [
     "Backoff",
     "CellTask",
     "FileQueue",
-    "QueueBackend",
     "ObjectQueue",
     "queue_from_url",
     "worker_identity",

@@ -12,9 +12,9 @@ finished and resumes from the first truly missing cell.
   the shared :func:`~repro.parallel.execute_jobs` engine; the
   distributed-sweep equivalent of ``run_parallel(jobs, workers=N)``,
   including its optional profile-guided ``lpt`` schedule.
-* :class:`FileQueueBackend` — enqueues cells onto a shared-directory
-  :class:`~repro.sweep.filequeue.FileQueue` for ``repro sweep worker``
-  processes (any number, any machine with the same filesystem) and
+* :class:`FileQueueBackend` — enqueues cells onto the sweep's
+  claim/lease work queue for ``repro sweep worker`` processes (any
+  number, any machine that reaches the queue's directory or bucket) and
   optionally blocks until every cell's result appears in the store.
 
 All backends route their execution through ``execute_jobs`` so the
@@ -33,7 +33,7 @@ import time
 from collections.abc import Sequence
 
 from ..parallel import execute_jobs
-from .filequeue import Backoff, CellTask, QueueBackend
+from .filequeue import Backoff, CellTask, ObjectQueue
 from .hashing import SweepError
 from .store import ResultStore
 
@@ -127,10 +127,9 @@ class ProcessPoolBackend(ExecutorBackend):
 class FileQueueBackend(ExecutorBackend):
     """Distributed execution through a claim/lease work queue.
 
-    Despite the historical name this speaks the
-    :class:`~repro.sweep.filequeue.QueueBackend` protocol, so it drives
-    the shared-directory :class:`~repro.sweep.filequeue.FileQueue` and the
-    object-store :class:`~repro.sweep.remotequeue.ObjectQueue` alike.
+    Despite the historical name it drives any
+    :class:`~repro.sweep.filequeue.ObjectQueue` — on a shared directory
+    (:class:`~repro.sweep.filequeue.FileQueue`) or on a bucket alike.
 
     ``wait=False`` turns :meth:`run` into pure submission (used by
     ``repro sweep submit``): cells are enqueued and the call returns
@@ -140,17 +139,17 @@ class FileQueueBackend(ExecutorBackend):
 
     With a *cost_model*, cells are enqueued in descending predicted cost so
     whichever worker claims first starts the fleet's stragglers first
-    (:meth:`FileQueue._pending_paths` preserves enqueue order).  The wait
-    loop polls with capped exponential backoff — one batched
-    ``contains_many`` probe per wake-up, backing off while nothing lands
-    and snapping back to *poll_interval* the moment a result appears.
+    (claims follow enqueue order).  The wait loop polls with capped
+    exponential backoff — one batched ``contains_many`` probe per
+    wake-up, backing off while nothing lands and snapping back to
+    *poll_interval* the moment a result appears.
     """
 
     name = "file-queue"
 
     def __init__(
         self,
-        queue: QueueBackend,
+        queue: ObjectQueue,
         *,
         wait: bool = True,
         poll_interval: float = 0.2,

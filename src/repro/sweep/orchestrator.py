@@ -7,7 +7,7 @@ lives under one **sweep directory** that may be shared between machines::
 
     <sweep_dir>/
         store/        content-addressed result records (the cache)
-        queue/        FileQueue work directories (pending/claimed/leases/failed)
+        queue/        the work queue (tasks/ pending/ leases/ failed/)
         manifests/    <name>.json — ordered cell keys + options per sweep
         telemetry/    <worker>.jsonl — per-worker fleet telemetry logs
 
@@ -54,13 +54,12 @@ from .filequeue import (
     DEFAULT_MAX_ATTEMPTS,
     Backoff,
     CellTask,
-    FileQueue,
-    QueueBackend,
+    ObjectQueue,
+    queue_from_url,
     worker_identity,
 )
 from .hashing import SweepError, cell_key, qualified_name, sweep_salt
 from .registry import sweep_spec
-from .remotequeue import queue_from_url
 from .storage import LocalFSBackend, StorageBackend, storage_from_url
 from .store import GCReport, ResultStore, StoreScan
 
@@ -167,25 +166,26 @@ class _SubmitExecutor(CachedExecutor):
 class SweepDirectory:
     """Paths + handles of one (possibly shared) sweep directory.
 
-    By default the work queue is a :class:`FileQueue` under *root* (the
+    By default the work queue is a
+    :class:`~repro.sweep.filequeue.FileQueue` under *root* (the
     claim/lease protocol over a shared filesystem); a *queue_url*
     relocates it — ``file://`` onto another directory, ``s3://`` /
-    ``mem://`` onto an :class:`~repro.sweep.remotequeue.ObjectQueue` whose
-    claim protocol runs over conditional PUTs, so workers need no shared
-    filesystem at all.  The result store and the sweep manifests likewise
-    go through a :class:`~repro.sweep.storage.StorageBackend` — under
-    *root* by default, or wherever *store_url* points (``file://``,
-    ``mem://``, ``s3://``).  With both URLs on one bucket, a fleet
-    coordinates through nothing but that bucket.
+    ``mem://`` onto an :class:`~repro.sweep.filequeue.ObjectQueue` on
+    that backend, so workers need no shared filesystem at all.  The
+    result store and the sweep manifests likewise go through a
+    :class:`~repro.sweep.storage.StorageBackend` — under *root* by
+    default, or wherever *store_url* points (``file://``, ``mem://``,
+    ``s3://``).  With both URLs on one bucket, a fleet coordinates through
+    nothing but that bucket.
     """
 
     root: Path
     lease_seconds: float = DEFAULT_LEASE_SECONDS
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     store_url: "str | StorageBackend | None" = None
-    queue_url: "str | QueueBackend | None" = None
+    queue_url: "str | ObjectQueue | None" = None
     store: ResultStore = field(init=False)
-    queue: QueueBackend = field(init=False)
+    queue: ObjectQueue = field(init=False)
     storage: StorageBackend = field(init=False)
 
     def __post_init__(self) -> None:
@@ -197,18 +197,11 @@ class SweepDirectory:
         )
         self.store = ResultStore(self.storage.sub("store"))
         self._manifests = self.storage.sub("manifests")
-        if self.queue_url is not None:
-            self.queue = queue_from_url(
-                self.queue_url,
-                lease_seconds=self.lease_seconds,
-                max_attempts=self.max_attempts,
-            )
-        else:
-            self.queue = FileQueue(
-                self.root / "queue",
-                lease_seconds=self.lease_seconds,
-                max_attempts=self.max_attempts,
-            )
+        self.queue = queue_from_url(
+            self.root / "queue" if self.queue_url is None else self.queue_url,
+            lease_seconds=self.lease_seconds,
+            max_attempts=self.max_attempts,
+        )
 
     @staticmethod
     def _manifest_key(name: str) -> str:
@@ -445,7 +438,7 @@ def worker_loop(
     lease for peers to recover.  Idle sleeps wait on the event, so a
     stop request interrupts the backoff immediately.
 
-    Tasks are claimed in batches (:meth:`FileQueue.claim_batch` — one
+    Tasks are claimed in batches (:meth:`ObjectQueue.claim_batch` — one
     pending/ listing per batch instead of per cell).  *claim_batch* fixes
     the batch size; the default ``None`` adapts it: start at 1, double up
     to :data:`MAX_CLAIM_BATCH` while the queue keeps filling the batch,
@@ -651,7 +644,7 @@ class SweepStatus:
     failed: int
     # Appended with defaults so positional construction stays valid:
     # cells recovered from expired leases during *this* status scan, with
-    # the structured detail records from FileQueue.requeue_expired.
+    # the structured detail records from ObjectQueue.requeue_expired.
     requeued: int = 0
     requeue_details: list = field(default_factory=list)
 

@@ -85,7 +85,7 @@ class StorageBackend(abc.ABC):
         (our own earlier write whose acknowledgement was lost in transit).
         ``False`` means the key holds *different* bytes: another writer
         won.  Callers building mutual exclusion on this primitive (the
-        :class:`~repro.sweep.remotequeue.ObjectQueue` lease protocol)
+        :class:`~repro.sweep.filequeue.ObjectQueue` lease protocol)
         embed a unique owner token in the payload, which is what makes
         the equality read-back an ownership test rather than a guess.
         """
@@ -237,15 +237,38 @@ class LocalFSBackend(StorageBackend):
         raise SweepError(f"put_if_absent could not settle key {key!r}")
 
     def list_keys(self, prefix: str = "") -> list[str]:
-        if not self.root.is_dir():
+        # Walk only the directory the prefix names (``pending/ab`` walks
+        # ``pending/``), not the whole root, and skip subdirectories the
+        # prefix rules out.  A malformed directory part cannot prefix any
+        # valid key.
+        directory = prefix.rpartition("/")[0]
+        try:
+            base = self.path_for(directory) if directory else self.root
+        except SweepError:
             return []
-        keys = [
-            path.relative_to(self.root).as_posix()
-            for path in self.root.rglob("*")
-            # Dot-prefixed names are in-flight temp files (see atomic.py).
-            if path.is_file() and not path.name.startswith(".")
-        ]
-        return sorted(key for key in keys if key.startswith(prefix))
+        keys: list[str] = []
+        stack = [(base, f"{directory}/" if directory else "")]
+        while stack:
+            path, head = stack.pop()
+            try:
+                entries = os.scandir(path)
+            except (FileNotFoundError, NotADirectoryError):
+                continue
+            with entries:
+                for entry in entries:
+                    key = head + entry.name
+                    if entry.is_dir():
+                        if f"{key}/".startswith(prefix):
+                            stack.append((entry.path, f"{key}/"))
+                    # Dot-prefixed names are in-flight temp files (see
+                    # atomic.py).
+                    elif (
+                        key.startswith(prefix)
+                        and not entry.name.startswith(".")
+                        and entry.is_file()
+                    ):
+                        keys.append(key)
+        return sorted(keys)
 
     def delete(self, key: str) -> bool:
         try:

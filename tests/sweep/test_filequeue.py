@@ -77,13 +77,18 @@ def test_lease_expiry_requeues_crashed_workers_task(tmp_path):
 
 
 def test_renew_lease_keeps_task_claimed(tmp_path):
-    queue = FileQueue(tmp_path / "q", lease_seconds=0.05)
+    queue = FileQueue(tmp_path / "q", lease_seconds=0.4)
     queue.enqueue(_task("a"))
     task = queue.claim("steady")
-    time.sleep(0.06)
-    queue.renew_lease(task, "steady")
+    time.sleep(0.25)
+    # Renewed inside the lease: the claim outlives the original deadline.
+    assert queue.renew_lease(task, "steady")
+    time.sleep(0.25)
     assert queue.requeue_expired() == []
     assert queue.claimed_keys() == ["a" * 64]
+    # Renewed after expiry: refused, so a zombie cannot take the lease back.
+    time.sleep(0.4)
+    assert not queue.renew_lease(task, "steady")
 
 
 def test_failed_cell_retries_then_parks(tmp_path):
@@ -102,13 +107,15 @@ def test_failed_cell_retries_then_parks(tmp_path):
 
 
 def test_orphaned_claim_without_lease_is_recovered(tmp_path):
-    """A worker killed between claiming a task and writing its lease leaves
-    a lease-less claimed task; after a grace of one lease period it must be
-    requeued, not wedge the sweep forever."""
+    """A claimed task whose lease is lost is an orphaned task: no marker
+    advertises it and no lease covers it.  After a grace of one lease
+    period it must be requeued, not wedge the sweep forever."""
     queue = FileQueue(tmp_path / "q", lease_seconds=0.05)
     queue.enqueue(_task("a"))
     task = queue.claim("doomed")
-    (tmp_path / "q" / "leases" / f"{task.key}.json").unlink()  # never written
+    (lease,) = queue.storage.list_keys("leases/")
+    assert queue.storage.delete(lease)
+    assert queue.claimed_keys() == [task.key]
     assert queue.requeue_expired() == []  # within the grace period
     time.sleep(0.06)
     assert queue.requeue_expired() == ["a" * 64]
@@ -161,13 +168,16 @@ def test_claim_batch_rejects_bad_count(tmp_path):
 
 def test_claim_order_is_enqueue_order_not_key_order(tmp_path):
     queue = FileQueue(tmp_path / "q")
-    # Enqueue in deliberately anti-alphabetical order with distinct mtimes.
+    # Enqueue in deliberately anti-alphabetical order.
     for byte in "cab":
         queue.enqueue(_task(byte))
-        ns = time.time_ns()
-        path = tmp_path / "q" / "pending" / f"{byte * 64}.task"
-        os.utime(path, ns=(ns, ns))
         time.sleep(0.002)
+    # Claims follow the stamps in the marker names, not file mtimes:
+    # backdate the newest marker's file to before the oldest one's.
+    markers = queue.storage.list_keys("pending/")
+    assert [name[-64] for name in markers] == list("cab")
+    oldest = queue.storage.path_for(markers[0]).stat().st_mtime_ns
+    os.utime(queue.storage.path_for(markers[-1]), ns=(oldest - 10**9,) * 2)
     claimed = [queue.claim("w").key[0] for _ in range(3)]
     assert claimed == list("cab")
 

@@ -113,14 +113,15 @@ def test_requeue_details_cover_orphaned_claims(tmp_path):
     _enqueue(directory, job(_double, 1))
     stuck = directory.queue.claim("dead-host")
     assert stuck is not None
-    # Worker died between claiming and writing its lease.
-    (directory.queue.leases_dir / f"{stuck.key}.json").unlink(missing_ok=True)
+    # The claim lost its lease object: the task is orphaned.
+    (lease,) = directory.queue.storage.list_keys("leases/")
+    directory.queue.storage.delete(lease)
     time.sleep(0.06)
     details: list = []
     requeued = directory.queue.requeue_expired(details=details)
     assert requeued == [stuck.key]  # return type unchanged: plain key list
     (detail,) = details
-    assert detail["reason"] == "orphaned-claim"
+    assert detail["reason"] == "orphaned-task"
     assert detail["worker"] is None
 
 

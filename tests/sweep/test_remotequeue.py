@@ -1,10 +1,11 @@
-"""Fault-injection suite for the object-store claim/lease queue.
+"""Fault-injection suite for the claim/lease queue.
 
 Every test runs against :class:`MemoryBackend` (pure in-process, the
 protocol in isolation) and, where marked, against a real
 :class:`FakeObjectServer` over HTTP — including injected 503s mid-claim —
 so both the protocol logic and its behaviour over a lossy S3-dialect wire
-are covered.
+are covered.  The basic and lease suites run a second time over a local
+directory (:class:`FileQueue`), the default queue of a sweep directory.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.sweep import (
     CellTask,
     MemoryBackend,
     ObjectQueue,
-    QueueBackend,
     SweepError,
     queue_from_url,
 )
@@ -35,9 +35,31 @@ def make_task(key: str = "cell-0", value: int = 21) -> CellTask:
     return CellTask(key, ParallelJob(_double, (value,)))
 
 
+def _factory(make):
+    """Queue instances on one shared store — one per simulated process."""
+
+    def build(**kwargs):
+        kwargs.setdefault("lease_seconds", 30.0)
+        kwargs.setdefault("max_attempts", 3)
+        return make(**kwargs)
+
+    return build
+
+
 @pytest.fixture()
-def queue():
-    return ObjectQueue(MemoryBackend(), lease_seconds=30.0, max_attempts=3)
+def make_queue():
+    storage = MemoryBackend()
+    return _factory(lambda **kwargs: ObjectQueue(storage, **kwargs))
+
+
+@pytest.fixture()
+def file_queue_factory(tmp_path):
+    return _factory(lambda **kwargs: FileQueue(tmp_path / "queue", **kwargs))
+
+
+@pytest.fixture()
+def queue(make_queue):
+    return make_queue()
 
 
 @pytest.fixture()
@@ -184,9 +206,8 @@ class TestRacingClaims:
 # Lease expiry, stealing, and the heartbeat
 # ----------------------------------------------------------------------
 class TestLeases:
-    def test_expiry_then_steal_then_stale_owner_stands_down(self):
-        storage = MemoryBackend()
-        q = ObjectQueue(storage, lease_seconds=0.05, max_attempts=5)
+    def test_expiry_then_steal_then_stale_owner_stands_down(self, make_queue):
+        q = make_queue(lease_seconds=0.05, max_attempts=5)
         q.enqueue(make_task())
         victim_task = q.claim(worker="victim")
         time.sleep(0.08)
@@ -196,7 +217,7 @@ class TestLeases:
         assert details[0]["worker"] == "victim"
         # Heartbeat after the steal must not resurrect the stolen lease.
         assert q.renew_lease(victim_task, "victim") is False
-        assert storage.list_keys("leases/") == []
+        assert q.storage.list_keys("leases/") == []
         thief_task = q.claim(worker="thief")
         assert thief_task.attempt == victim_task.attempt + 1
         # The victim's late failure report must not clobber the thief.
@@ -205,8 +226,8 @@ class TestLeases:
         q.complete(thief_task)
         assert q.is_idle()
 
-    def test_renew_refuses_expired_lease(self):
-        q = ObjectQueue(MemoryBackend(), lease_seconds=0.05, max_attempts=3)
+    def test_renew_refuses_expired_lease(self, make_queue):
+        q = make_queue(lease_seconds=0.05)
         q.enqueue(make_task())
         task = q.claim(worker="w1")
         assert q.renew_lease(task, "w1") is True
@@ -214,10 +235,9 @@ class TestLeases:
         # Expired: renewing would race the scavenger's steal.
         assert q.renew_lease(task, "w1") is False
 
-    def test_renew_checks_worker_across_processes(self):
-        storage = MemoryBackend()
-        q1 = ObjectQueue(storage, lease_seconds=30.0, max_attempts=3)
-        q2 = ObjectQueue(storage, lease_seconds=30.0, max_attempts=3)
+    def test_renew_checks_worker_across_processes(self, make_queue):
+        q1 = make_queue()
+        q2 = make_queue()
         q1.enqueue(make_task())
         task = q1.claim(worker="w1")
         # A different process (no owner token) renewing someone else's
@@ -225,24 +245,22 @@ class TestLeases:
         assert q2.renew_lease(task, "w2") is False
         assert q2.renew_lease(task, "w1") is True
 
-    def test_racing_scavengers_count_the_steal_once(self):
-        storage = MemoryBackend()
-        q = ObjectQueue(storage, lease_seconds=0.05, max_attempts=5)
+    def test_racing_scavengers_count_the_steal_once(self, make_queue):
+        q = make_queue(lease_seconds=0.05, max_attempts=5)
         q.enqueue(make_task())
         q.claim(worker="victim")
         time.sleep(0.08)
         now = time.time()
         scavengers = [
-            ObjectQueue(storage, lease_seconds=0.05, max_attempts=5)
-            for _ in range(4)
+            make_queue(lease_seconds=0.05, max_attempts=5) for _ in range(4)
         ]
         recovered = [s.requeue_expired(now) for s in scavengers]
         assert sum(len(keys) for keys in recovered) == 1
         # Exactly one marker was published; the cell is claimable again.
         assert q.pending_keys() == ["cell-0"]
 
-    def test_repeated_expiries_park_the_cell(self):
-        q = ObjectQueue(MemoryBackend(), lease_seconds=0.02, max_attempts=2)
+    def test_repeated_expiries_park_the_cell(self, make_queue):
+        q = make_queue(lease_seconds=0.02, max_attempts=2)
         q.enqueue(make_task())
         for _ in range(2):
             assert q.claim(worker="w1") is not None
@@ -254,15 +272,14 @@ class TestLeases:
         assert "exceeded 2 attempts" in q.failure("cell-0")["error"]
         assert q.is_idle()
 
-    def test_orphaned_task_healed_after_grace(self):
-        storage = MemoryBackend()
-        q = ObjectQueue(storage, lease_seconds=0.05, max_attempts=3)
+    def test_orphaned_task_healed_after_grace(self, make_queue):
+        q = make_queue(lease_seconds=0.05)
         # Simulate an enqueuer killed between the blob PUT and the marker
         # PUT: write the envelope directly, no marker.
         import pickle
 
         envelope = {"task": make_task(), "enqueued_at": time.time() - 1.0}
-        storage.put_atomic("tasks/cell-0", pickle.dumps(envelope))
+        q.storage.put_atomic("tasks/cell-0", pickle.dumps(envelope))
         assert q.pending_keys() == []
         assert not q.is_idle()  # the blob keeps the queue non-idle
         details: list[dict] = []
@@ -301,6 +318,26 @@ class TestLeases:
         queue.requeue_expired()
         assert queue.storage.list_keys("leases/") == ["leases/cell-0.0001"]
         queue.complete(task)
+
+
+class TestBasicsOnLocalDisk(TestBasics):
+    """The basic round trips over a local directory."""
+
+    @pytest.fixture()
+    def make_queue(self, file_queue_factory):
+        return file_queue_factory
+
+    def test_describe_names_the_backing_store(self, queue, tmp_path):
+        assert queue.flavor == "file"
+        assert queue.describe() == f"file queue on file://{tmp_path / 'queue'}"
+
+
+class TestLeasesOnLocalDisk(TestLeases):
+    """Expiry, stealing and the heartbeat over a local directory."""
+
+    @pytest.fixture()
+    def make_queue(self, file_queue_factory):
+        return file_queue_factory
 
 
 # ----------------------------------------------------------------------
@@ -449,5 +486,6 @@ class TestQueueFromUrl:
             queue_from_url("ftp://nope/queue")
 
     def test_protocol_conformance(self):
-        assert issubclass(ObjectQueue, QueueBackend)
-        assert issubclass(FileQueue, QueueBackend)
+        # One protocol: the local-directory queue is the object queue
+        # bound to a LocalFSBackend.
+        assert issubclass(FileQueue, ObjectQueue)

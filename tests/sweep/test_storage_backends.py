@@ -82,6 +82,27 @@ def test_list_keys_sorted_and_prefix_filtered(backend):
     assert backend.list_keys("nope/") == []
 
 
+def test_list_keys_prefix_edge_cases(backend):
+    keys = ("pending/ab1", "pending/ab/2", "pending/b", "pendant/c", "tasks/ab")
+    for key in keys:
+        backend.put_atomic(key, b"x")
+    # A prefix ending mid-segment matches across sibling directories.
+    assert backend.list_keys("pend") == [
+        "pendant/c",
+        "pending/ab/2",
+        "pending/ab1",
+        "pending/b",
+    ]
+    # A nested prefix matches both a deeper directory and a file name.
+    assert backend.list_keys("pending/ab") == ["pending/ab/2", "pending/ab1"]
+    assert backend.list_keys("pending/ab/") == ["pending/ab/2"]
+    assert backend.list_keys("") == sorted(keys)
+    # A prefix naming a missing directory (or a file) is simply empty.
+    assert backend.list_keys("missing/") == []
+    assert backend.list_keys("missing/deeper/x") == []
+    assert backend.list_keys("pending/b/") == []
+
+
 def test_list_after_delete(backend):
     backend.put_atomic("d/1", b"x")
     backend.put_atomic("d/2", b"y")
