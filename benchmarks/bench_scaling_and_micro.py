@@ -14,9 +14,8 @@
   no-op floor (the budget every instrumented hot path pays when tracing is
   off), live span enter/exit against a JSONL sink, and raw event-sink
   throughput.
-* ``test_micro_scheduler_*`` measures profile-guided sweep scheduling:
-  FIFO vs LPT makespan on a tail-heavy sleep-cell mix (row identity
-  asserted) and file-queue drain throughput with batched claims.
+* ``test_micro_scheduler_claim_batch`` measures file-queue drain
+  throughput with batched claims.
 * ``test_parallel_*`` measures the process-pool experiment engine
   (``run_parallel``) against its serial path and asserts the result rows are
   identical; the wall-clock speedup assertion is gated on the machine
@@ -503,69 +502,11 @@ def test_parallel_engine_speedup(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Profile-guided sweep scheduling: makespan and queue batch throughput
+# Work-queue batch throughput
 # ----------------------------------------------------------------------
 def _sleep_cell(seconds, index):
     time.sleep(seconds)
     return index
-
-
-class _SleepCostModel:
-    """Oracle for the sleep cells: the duration is the first argument."""
-
-    def predict(self, cell):
-        return float(cell.args[0])
-
-    def affinity(self, cell):
-        return f"cell{cell.args[1]}"
-
-
-#: A deliberately tail-heavy mix: sixteen 100ms cells with one 450ms
-#: straggler submitted *last*, where FIFO dispatch hurts the most.
-_SCHEDULER_DURATIONS = [0.1] * 16 + [0.45]
-_SCHEDULER_WORKERS = 4
-
-
-def _scheduler_makespan(schedule):
-    from repro.parallel import execute_jobs, job as make_job
-
-    jobs = [
-        make_job(_sleep_cell, seconds, index)
-        for index, seconds in enumerate(_SCHEDULER_DURATIONS)
-    ]
-    started = time.perf_counter()
-    results = execute_jobs(
-        jobs,
-        workers=_SCHEDULER_WORKERS,
-        schedule=schedule,
-        cost_model=_SleepCostModel(),
-    )
-    seconds = time.perf_counter() - started
-    assert results == list(range(len(_SCHEDULER_DURATIONS)))
-    return seconds
-
-
-def test_micro_scheduler_makespan(benchmark):
-    """FIFO vs profile-guided LPT on a tail-heavy 17-cell sweep over 4
-    workers.  The cells sleep rather than burn CPU, so the makespan gap is
-    visible even on a 1-core container: FIFO starts the 450ms straggler
-    only after the 16 short cells have cycled through the pool (~0.85s
-    critical path), LPT starts it first (~0.6s).  Rows are asserted
-    identical either way; the speedup floor is droppable on noisy shared
-    runners via ``ISEGEN_RELAX_PARALLEL_ASSERT``."""
-    benchmark.group = "scheduler makespan (17 cells, 4 workers)"
-    fifo_seconds = _scheduler_makespan("fifo")
-    lpt_seconds = run_once(benchmark, _scheduler_makespan, "lpt")
-    benchmark.extra_info["fifo_seconds"] = round(fifo_seconds, 3)
-    benchmark.extra_info["lpt_seconds"] = round(lpt_seconds, 3)
-    benchmark.extra_info["makespan_ratio"] = round(
-        lpt_seconds / fifo_seconds if fifo_seconds else float("inf"), 3
-    )
-    if not os.environ.get("ISEGEN_RELAX_PARALLEL_ASSERT"):
-        assert lpt_seconds <= 0.85 * fifo_seconds, (
-            f"expected LPT to cut the FIFO makespan by >= 15%: "
-            f"fifo={fifo_seconds:.3f}s lpt={lpt_seconds:.3f}s"
-        )
 
 
 def test_micro_scheduler_claim_batch(benchmark):

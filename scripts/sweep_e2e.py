@@ -11,8 +11,8 @@ Asserted invariants:
 
 * every cell executes exactly once across the two workers;
 * the collected figure6 table is row-identical between the file:// run,
-  the profile-guided ``--schedule lpt`` run, the s3:// run, the fully
-  remote ``--queue-url s3://`` run, and the serial in-process harness;
+  the s3:// run, the fully remote ``--queue-url s3://`` run, and the
+  serial in-process harness;
 * resubmitting each finished sweep reports 100% cache hits with nothing
   enqueued, and (s3://) the cache probe is one batched listing — no
   per-cell HEAD requests;
@@ -61,20 +61,11 @@ def strip_timing(rows):
     ]
 
 
-def run_sweep(
-    label: str,
-    sweep_dir: Path,
-    store_url: str | None,
-    env: dict,
-    schedule: str | None = None,
-):
+def run_sweep(label: str, sweep_dir: Path, store_url: str | None, env: dict):
     """Submit, execute via two CLI workers, collect; return stripped rows."""
     directory = SweepDirectory(sweep_dir, store_url=store_url)
-    report = submit(directory, "figure6", options=REDUCED, schedule=schedule)
+    report = submit(directory, "figure6", options=REDUCED)
     assert report.total == 4 and report.enqueued == 4, report.summary()
-    if schedule:
-        manifest = directory.load_manifest("figure6")
-        assert manifest["schedule"] == schedule, manifest.get("schedule")
     print(f"[{label}] {report.summary()}", flush=True)
 
     command = [sys.executable, "-m", "repro.cli", "sweep", "worker",
@@ -204,13 +195,6 @@ def main() -> int:
 
     file_rows = run_sweep("file", workdir / "file-sweep", None, base_env)
 
-    # Profile-guided shard: cells enqueued in predicted-cost-descending
-    # order (the Genetic cells before the cheap ISEGEN ones), drained by
-    # the same two CLI workers.  Scheduling must be invisible in the rows.
-    lpt_rows = run_sweep(
-        "lpt", workdir / "lpt-sweep", None, base_env, schedule="lpt"
-    )
-
     with FakeObjectServer() as server:
         # Both this process (submit/collect) and the worker subprocesses
         # resolve the s3:// endpoint from the environment.
@@ -252,7 +236,6 @@ def main() -> int:
         run_figure6(io_sweep=[(2, 1), (4, 2)], nise_values=[1], quick_genetic=True).rows
     )
     assert file_rows == serial_rows, "file:// rows differ from the serial harness"
-    assert lpt_rows == serial_rows, "lpt-scheduled rows differ from the serial harness"
     assert s3_rows == serial_rows, "s3:// rows differ from the serial harness"
     assert remote_rows == serial_rows, (
         "remote-queue rows differ from the serial harness"
@@ -263,7 +246,7 @@ def main() -> int:
     assert file_rows == s3_rows
     print(
         f"sweep-e2e OK: {len(file_rows)} figure6 rows identical across "
-        "serial, file:// (fifo and lpt), s3:// store, and the s3:// and "
+        "serial, file://, s3:// store, and the s3:// and "
         "file:// queues with a SIGKILLed worker (2 workers each), "
         "100% cache hits on resubmit, batched probes",
         flush=True,

@@ -51,7 +51,6 @@ from .experiments import (
     save_tables,
 )
 from .hwmodel import ISEConstraints
-from .parallel import SCHEDULE_ENV_VAR, SCHEDULES
 from .reuse import reuse_aware_speedup
 from .workloads import available_workloads, load_workload, workload_spec
 
@@ -119,28 +118,6 @@ def _apply_trace_choice(args: argparse.Namespace) -> None:
         telemetry.configure(trace)
     else:
         telemetry.maybe_configure_from_env()
-
-
-def _add_schedule_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--schedule",
-        choices=SCHEDULES,
-        default=None,
-        help="dispatch order for parallel cells: 'fifo' (submission order) "
-        "or 'lpt' (profile-guided longest-first with cache-affinity worker "
-        "steering).  Rows are bit-identical either way — only wall clock "
-        "changes; defaults to the ISEGEN_SCHEDULE environment variable, "
-        "then fifo",
-    )
-
-
-def _apply_schedule_choice(args: argparse.Namespace) -> None:
-    """Export ``--schedule`` into the environment before dispatch (mirrors
-    :func:`_apply_kernel_choice`) so pool and sweep workers — which inherit
-    the parent's environment — resolve the same schedule."""
-    schedule = getattr(args, "schedule", None)
-    if schedule:
-        os.environ[SCHEDULE_ENV_VAR] = schedule
 
 
 def _constraints_from(args: argparse.Namespace) -> ISEConstraints:
@@ -297,7 +274,6 @@ def _cmd_sweep_submit(args: argparse.Namespace) -> int:
         _sweep_directory(args),
         args.sweep,
         options=_sweep_options(args),
-        schedule=getattr(args, "schedule", None),
     )
     print(report.summary())
     if report.enqueued or report.already_queued:
@@ -392,20 +368,10 @@ def _cmd_sweep_collect(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
-    from .parallel import resolve_schedule
-    from .sweep import ProcessPoolBackend, SerialBackend, cost_model_for, run_cached
+    from .sweep import ProcessPoolBackend, SerialBackend, run_cached
 
     directory = _sweep_directory(args)
-    if args.workers > 1:
-        schedule = resolve_schedule(getattr(args, "schedule", None))
-        cost_model = (
-            cost_model_for(directory) if schedule == "lpt" else None
-        )
-        backend = ProcessPoolBackend(
-            args.workers, schedule=schedule, cost_model=cost_model
-        )
-    else:
-        backend = SerialBackend()
+    backend = ProcessPoolBackend(args.workers) if args.workers > 1 else SerialBackend()
     tables, executor = run_cached(
         directory, args.sweep, backend=backend, options=_sweep_options(args)
     )
@@ -734,7 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_constraint_arguments(sub)
     _add_kernel_argument(sub)
     _add_trace_argument(sub)
-    _add_schedule_argument(sub)
     sub.set_defaults(handler=_cmd_run)
 
     experiment_commands = {
@@ -778,7 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         _add_kernel_argument(sub)
         _add_trace_argument(sub)
-        _add_schedule_argument(sub)
         sub.set_defaults(handler=handler)
 
     _add_sweep_parsers(subparsers)
@@ -834,7 +798,6 @@ def _add_sweep_parsers(subparsers) -> None:
         action="store_true",
         help="figure6 only: full genetic configuration instead of the quick one",
     )
-    _add_schedule_argument(sub)
     sub.set_defaults(handler=_cmd_sweep_submit)
 
     sub = commands.add_parser(
@@ -950,7 +913,6 @@ def _add_sweep_parsers(subparsers) -> None:
     )
     _add_kernel_argument(sub)
     _add_trace_argument(sub)
-    _add_schedule_argument(sub)
     sub.set_defaults(handler=_cmd_sweep_run)
 
 
@@ -1210,7 +1172,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _apply_kernel_choice(args)
     _apply_trace_choice(args)
-    _apply_schedule_choice(args)
     try:
         return args.handler(args)
     except ReproError as error:

@@ -14,9 +14,6 @@ Each harness decomposes its figure into independent *cells* — one
 ``workers == 1``.  Cell results are always assembled in submission order, so
 the produced tables are row-for-row identical regardless of the worker
 count (timing columns aside, which are nondeterministic by nature).
-Under ``ISEGEN_SCHEDULE=lpt`` (or ``--schedule lpt``) the pool dispatches
-cells in predicted-cost order from the profile-guided cost model; the row
-guarantee is unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from ..codegen import format_table
 from ..core import ISEGenerationResult
 from ..errors import BaselineInfeasibleError
 from ..hwmodel import ISEConstraints
-from ..parallel import ParallelJob, execute_jobs, job, resolve_schedule, run_parallel
+from ..parallel import ParallelJob, execute_jobs, job, run_parallel
 from ..program import Program
 
 __all__ = [
@@ -40,7 +37,6 @@ __all__ = [
     "ParallelJob",
     "execute_jobs",
     "job",
-    "resolve_schedule",
     "run_parallel",
     "timed_run",
     "save_tables",

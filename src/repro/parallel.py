@@ -9,46 +9,21 @@ depends on nothing but the standard library (plus the equally stdlib-only
 (:mod:`repro.experiments.runner` re-exports these names) and the core
 multi-ISE driver (:mod:`repro.core.application`) can fan work out without
 import cycles.  The distributed sweep subsystem (:mod:`repro.sweep`) builds
-its serial and process-pool backends on the same engine, and its cost
-model (:mod:`repro.sweep.costmodel`) plugs in here as the ``lpt``
-schedule's runtime oracle.
+its serial and process-pool backends on the same engine.
 
-Two schedules are supported, selected per call, via ``--schedule`` on the
-CLI, or via the ``ISEGEN_SCHEDULE`` environment variable:
-
-``fifo``
-    Submit in submission order to one shared pool — the historical
-    behaviour, and the default.
-``lpt``
-    Longest-processing-time-first: rank cells by predicted runtime and
-    bin-pack them onto the workers (:func:`plan_lpt`), steering cells that
-    share a cache-affinity key to the same worker process so per-process
-    memos (bitset index tables, workload graphs) hit.  Each bin is one
-    single-worker pool, which is what makes the steering real rather than
-    advisory.
-
-Either way results are reassembled in **submission order** and the failure
-discipline is identical, so the schedule can change wall-clock but never a
-row: tables are bit-identical across schedules, worker counts, and
-arbitrarily wrong cost models (pinned by tests).
+Jobs are submitted in submission order to one shared pool and their
+results reassembled in submission order, so the worker count can change
+wall-clock but never a row: tables are bit-identical across worker counts
+(pinned by tests).
 """
 
 from __future__ import annotations
 
-import os
-import time
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from . import telemetry
-
-#: Environment variable naming the default schedule; the CLI's
-#: ``--schedule`` flag exports it so pool and sweep workers inherit the
-#: choice (same pattern as ``ISEGEN_KERNEL``/``ISEGEN_TRACE``).
-SCHEDULE_ENV_VAR = "ISEGEN_SCHEDULE"
-#: Recognised schedule names.
-SCHEDULES = ("fifo", "lpt")
 
 
 @dataclass(frozen=True)
@@ -73,20 +48,6 @@ def job(func: Callable, *args, **kwargs) -> ParallelJob:
     return ParallelJob(func, args, kwargs)
 
 
-def resolve_schedule(schedule: str | None = None) -> str:
-    """The effective schedule name: explicit argument, else the
-    ``ISEGEN_SCHEDULE`` environment variable, else ``fifo``."""
-    choice = schedule if schedule is not None else os.environ.get(SCHEDULE_ENV_VAR)
-    if not choice:
-        return "fifo"
-    choice = str(choice).strip().lower()
-    if choice not in SCHEDULES:
-        raise ValueError(
-            f"unknown schedule {choice!r}; expected one of {', '.join(SCHEDULES)}"
-        )
-    return choice
-
-
 def _execute(item: ParallelJob):
     # Pool children on spawn-based platforms arrive without the parent's
     # tracer; re-derive it from ISEGEN_TRACE (no-op when unset, and on
@@ -105,87 +66,11 @@ def _execute(item: ParallelJob):
         telemetry.flush()
 
 
-def _execute_timed(item: ParallelJob) -> tuple:
-    """Run one job and return ``(result, wall_seconds)``.
-
-    The wall time is what executor backends persist as ``meta.runtime_s``
-    on store records — the raw feed of the profile-guided cost model.
-    """
-    started = time.perf_counter()
-    result = _execute(item)
-    return result, time.perf_counter() - started
-
-
-def _sane_cost(value) -> float:
-    """Clamp a predicted cost to a finite non-negative float.
-
-    The planner must produce a valid partition for *any* model output —
-    negative, NaN, infinite — because a bad model is allowed to cost wall
-    clock but never allowed to break a run.
-    """
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        return 0.0
-    if value != value or value in (float("inf"), float("-inf")) or value < 0.0:
-        return 0.0
-    return value
-
-
-def plan_lpt(
-    costs: Sequence[float],
-    affinities: Sequence[str] | None,
-    workers: int,
-) -> list[list[int]]:
-    """Partition job indices onto at most *workers* bins, LPT-first.
-
-    Jobs are placed in descending predicted-cost order (ties broken by
-    submission index, so the plan is deterministic) onto the least-loaded
-    bin — the classic longest-processing-time-first heuristic, within 4/3
-    of the optimal makespan.  When *affinities* is given, a job whose
-    affinity key already owns a bin is steered there instead, unless that
-    bin has fallen more than one job's cost behind the least-loaded bin —
-    cache affinity should never manufacture a straggler.
-
-    Pure function of its arguments; returns only non-empty bins.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    count = len(costs)
-    clamped = [_sane_cost(cost) for cost in costs]
-    order = sorted(range(count), key=lambda index: (-clamped[index], index))
-    bins: list[list[int]] = [[] for _ in range(min(workers, count))]
-    loads = [0.0] * len(bins)
-    owner: dict[str, int] = {}
-    for index in order:
-        cost = clamped[index]
-        target = min(range(len(bins)), key=lambda bin_index: (loads[bin_index], bin_index))
-        key = affinities[index] if affinities is not None else None
-        if key is not None:
-            preferred = owner.get(key)
-            if preferred is not None and loads[preferred] <= loads[target] + cost:
-                target = preferred
-            owner.setdefault(key, target)
-        bins[target].append(index)
-        loads[target] += cost
-    return [bucket for bucket in bins if bucket]
-
-
-def _default_cost_model():
-    # Imported lazily: this module must stay importable without the sweep
-    # subsystem (which itself imports ParallelJob from here).
-    from .sweep.costmodel import CostModel
-
-    return CostModel.from_env()
-
-
 def execute_jobs(
     jobs: Sequence[ParallelJob],
     workers: int = 1,
     *,
-    schedule: str | None = None,
-    cost_model=None,
-    on_result: Callable[[int, object, float], None] | None = None,
+    on_result: Callable[[int, object], None] | None = None,
     pool_factory: Callable = ProcessPoolExecutor,
 ) -> list:
     """Execute *jobs*, returning results in submission order.
@@ -196,52 +81,29 @@ def execute_jobs(
     cancelled rather than run to completion behind it, and the
     earliest-submitted failed job's exception propagates.
 
-    *on_result* is invoked in the parent process as ``(index, result,
-    wall_seconds)`` for each job **as it completes** (completion order, not
-    submission order) — executor backends use it to persist results and
-    runtimes incrementally.  It is not called for jobs that fail or are
-    cancelled.
+    *on_result* is invoked in the parent process as ``(index, result)`` for
+    each job **as it completes** (completion order, not submission order)
+    — executor backends use it to persist results incrementally.  It is
+    not called for jobs that fail or are cancelled.
 
-    *schedule* picks the dispatch order (see module docstring); *cost_model*
-    supplies ``predict(job)``/``affinity(job)`` for the ``lpt`` schedule and
-    defaults to the profile in ``ISEGEN_COST_PROFILE`` (or the structural
-    prior).  *pool_factory* exists for tests: injecting a thread pool
-    exercises the full planning/reassembly path without process spin-up.
+    *pool_factory* exists for tests: injecting a thread pool exercises the
+    full submission/reassembly path without process spin-up.
     """
     jobs = list(jobs)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    mode = resolve_schedule(schedule)
     if workers == 1 or len(jobs) <= 1:
         results = []
         for index, item in enumerate(jobs):
-            result, seconds = _execute_timed(item)
+            result = _execute(item)
             if on_result is not None:
-                on_result(index, result, seconds)
+                on_result(index, result)
             results.append(result)
         return results
 
-    if mode == "lpt":
-        model = cost_model if cost_model is not None else _default_cost_model()
-        costs = [model.predict(item) for item in jobs]
-        affinities = [model.affinity(item) for item in jobs]
-        bins = plan_lpt(costs, affinities, workers)
-        telemetry.event(
-            "parallel.plan", schedule=mode, jobs=len(jobs), bins=len(bins)
-        )
-        # One single-worker pool per bin: the steering is physical — a
-        # bin's jobs share one OS process and therefore its memos.
-        submissions = [(bin_index, index) for bin_index, bucket in enumerate(bins) for index in bucket]
-        pool_sizes = [1] * len(bins)
-    else:
-        submissions = [(0, index) for index in range(len(jobs))]
-        pool_sizes = [min(workers, len(jobs))]
-
-    pools = [pool_factory(max_workers=size) for size in pool_sizes]
+    pool = pool_factory(max_workers=min(workers, len(jobs)))
     try:
-        ordered = [None] * len(jobs)
-        for pool_index, index in submissions:
-            ordered[index] = pools[pool_index].submit(_execute_timed, jobs[index])
+        ordered = [pool.submit(_execute, item) for item in jobs]
         index_of = {future: index for index, future in enumerate(ordered)}
         results = [None] * len(jobs)
         failure_seen = False
@@ -250,15 +112,13 @@ def execute_jobs(
                 failure_seen = True
                 break
             index = index_of[future]
-            result, seconds = future.result()
-            results[index] = result
+            results[index] = future.result()
             if on_result is not None:
-                on_result(index, result, seconds)
+                on_result(index, results[index])
         if failure_seen:
             for future in ordered:
                 future.cancel()
-            for pool in pools:
-                pool.shutdown(wait=True, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)
             for future in ordered:
                 if future.done() and not future.cancelled():
                     error = future.exception()
@@ -267,25 +127,17 @@ def execute_jobs(
             raise RuntimeError("a parallel job failed but no exception survived")
         return results
     finally:
-        for pool in pools:
-            pool.shutdown(wait=True, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
-def run_parallel(
-    jobs: Sequence[ParallelJob],
-    workers: int = 1,
-    *,
-    schedule: str | None = None,
-    cost_model=None,
-) -> list:
+def run_parallel(jobs: Sequence[ParallelJob], workers: int = 1) -> list:
     """Execute *jobs* and return their results in submission order.
 
     ``workers == 1`` runs every job in-process, sequentially, in order —
     bit-identical to the historical serial harness loops.  ``workers > 1``
-    fans the jobs out over process pools and reassembles the results in
+    fans the jobs out over a process pool and reassembles the results in
     submission order, so the output is independent of scheduling: the
-    ``lpt`` schedule (and any cost model behind it) can only change
-    wall-clock, never a row.
+    worker count can only change wall-clock, never a row.
 
     Failure semantics match the serial loop in both modes: as soon as a
     failure surfaces, jobs that have not started yet are cancelled rather
@@ -294,4 +146,4 @@ def run_parallel(
     worker at that moment cannot be interrupted — they finish but their
     results are discarded.
     """
-    return execute_jobs(jobs, workers, schedule=schedule, cost_model=cost_model)
+    return execute_jobs(jobs, workers)

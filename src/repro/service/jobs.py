@@ -30,7 +30,6 @@ import os
 import re
 import time
 
-from ..sweep.costmodel import cost_key
 from ..sweep.filequeue import CellTask
 from ..sweep.hashing import cell_key, qualified_name, sweep_salt
 from ..sweep.orchestrator import CachedExecutor, MissingCellsError, SweepDirectory
@@ -125,11 +124,7 @@ class JobManager:
             task = CellTask(
                 key,
                 cell,
-                meta={
-                    "func": qualified_name(cell.func),
-                    "salt": self.salt,
-                    "cost_key": cost_key(cell),
-                },
+                meta={"func": qualified_name(cell.func), "salt": self.salt},
             )
             if self.directory.queue.enqueue(task):
                 enqueued += 1

@@ -12,8 +12,6 @@ resumable execution service:
 * :mod:`repro.sweep.filequeue` — the claim/lease work queue over any
   storage backend (a shared directory or an ``s3://`` bucket);
 * :mod:`repro.sweep.sigv4` — pure-stdlib AWS SigV4 request signing;
-* :mod:`repro.sweep.costmodel` — profile-guided per-cell runtime model
-  feeding the ``lpt`` schedule of every executor;
 * :mod:`repro.sweep.backends` — serial / process-pool / file-queue executors;
 * :mod:`repro.sweep.orchestrator` — submit / worker / status / collect;
 * :mod:`repro.sweep.registry` — the named sweeps (one per harness);
@@ -36,13 +34,6 @@ from .filequeue import (
     ObjectQueue,
     queue_from_url,
     worker_identity,
-)
-from .costmodel import (
-    CostModel,
-    affinity_key,
-    cost_key,
-    cost_model_for,
-    static_estimate,
 )
 from .backends import (
     ExecutorBackend,
@@ -100,11 +91,6 @@ __all__ = [
     "ObjectQueue",
     "queue_from_url",
     "worker_identity",
-    "CostModel",
-    "affinity_key",
-    "cost_key",
-    "cost_model_for",
-    "static_estimate",
     "ExecutorBackend",
     "SerialBackend",
     "ProcessPoolBackend",

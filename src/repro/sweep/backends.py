@@ -10,17 +10,14 @@ finished and resumes from the first truly missing cell.
   semantics (and the ``workers=1`` bit-identical guarantee).
 * :class:`ProcessPoolBackend` — fans cells over local process pools via
   the shared :func:`~repro.parallel.execute_jobs` engine; the
-  distributed-sweep equivalent of ``run_parallel(jobs, workers=N)``,
-  including its optional profile-guided ``lpt`` schedule.
+  distributed-sweep equivalent of ``run_parallel(jobs, workers=N)``.
 * :class:`FileQueueBackend` — enqueues cells onto the sweep's
   claim/lease work queue for ``repro sweep worker`` processes (any
   number, any machine that reaches the queue's directory or bucket) and
   optionally blocks until every cell's result appears in the store.
 
-All backends route their execution through ``execute_jobs`` so the
-cancel-on-first-failure discipline is defined in exactly one place, and all
-record the cell's wall time as ``meta.runtime_s`` on the store record —
-the observation feed of :mod:`repro.sweep.costmodel`.
+The local backends route their execution through ``execute_jobs`` so the
+cancel-on-first-failure discipline is defined in exactly one place.
 
 Backends only ever see cache *misses*; hit bookkeeping happens one layer up
 in :class:`~repro.sweep.orchestrator.CachedExecutor`.
@@ -42,20 +39,12 @@ def _store_writer(tasks: Sequence[CellTask], store: ResultStore, backend_name: s
     """``on_result`` callback persisting each cell the moment it lands.
 
     A killed sweep keeps everything that finished, and the resume touches
-    only the rest.  The measured wall time rides along as ``runtime_s``.
+    only the rest.
     """
 
-    def on_result(index: int, result, seconds: float) -> None:
+    def on_result(index: int, result) -> None:
         task = tasks[index]
-        store.put(
-            task.key,
-            result,
-            meta={
-                "backend": backend_name,
-                "runtime_s": round(seconds, 6),
-                **task.meta,
-            },
-        )
+        store.put(task.key, result, meta={"backend": backend_name, **task.meta})
 
     return on_result
 
@@ -85,28 +74,14 @@ class SerialBackend(ExecutorBackend):
 
 
 class ProcessPoolBackend(ExecutorBackend):
-    """Local process-pool execution, results persisted as they complete.
-
-    *schedule*/*cost_model* select the dispatch order of the underlying
-    :func:`~repro.parallel.execute_jobs` engine (``lpt`` executes cells in
-    predicted-cost order with cache-affinity steering); either way the set
-    of store records is identical — only the wall clock changes.
-    """
+    """Local process-pool execution, results persisted as they complete."""
 
     name = "process-pool"
 
-    def __init__(
-        self,
-        workers: int = 2,
-        *,
-        schedule: str | None = None,
-        cost_model=None,
-    ):
+    def __init__(self, workers: int = 2):
         if workers < 1:
             raise SweepError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.schedule = schedule
-        self.cost_model = cost_model
 
     def run(self, tasks: Sequence[CellTask], store: ResultStore) -> None:
         tasks = list(tasks)
@@ -118,8 +93,6 @@ class ProcessPoolBackend(ExecutorBackend):
         execute_jobs(
             [task.cell for task in tasks],
             workers=self.workers,
-            schedule=self.schedule,
-            cost_model=self.cost_model,
             on_result=_store_writer(tasks, store, self.name),
         )
 
@@ -137,12 +110,10 @@ class FileQueueBackend(ExecutorBackend):
     until every cell has a result — the work itself is done by however many
     ``repro sweep worker`` processes share the queue.
 
-    With a *cost_model*, cells are enqueued in descending predicted cost so
-    whichever worker claims first starts the fleet's stragglers first
-    (claims follow enqueue order).  The wait loop polls with capped
-    exponential backoff — one batched ``contains_many`` probe per
-    wake-up, backing off while nothing lands and snapping back to
-    *poll_interval* the moment a result appears.
+    Cells are enqueued in submission order, and workers claim in enqueue
+    order.  The wait loop polls with capped exponential backoff — one
+    batched ``contains_many`` probe per wake-up, backing off while nothing
+    lands and snapping back to *poll_interval* the moment a result appears.
     """
 
     name = "file-queue"
@@ -154,27 +125,18 @@ class FileQueueBackend(ExecutorBackend):
         wait: bool = True,
         poll_interval: float = 0.2,
         timeout: float | None = None,
-        cost_model=None,
     ):
         self.queue = queue
         self.wait = wait
         self.poll_interval = poll_interval
         self.timeout = timeout
-        self.cost_model = cost_model
-
-    def _enqueue_order(self, tasks: list[CellTask]) -> list[CellTask]:
-        if self.cost_model is None or len(tasks) <= 1:
-            return tasks
-        costs = [self.cost_model.predict(task.cell) for task in tasks]
-        order = sorted(range(len(tasks)), key=lambda i: (-costs[i], i))
-        return [tasks[i] for i in order]
 
     def run(self, tasks: Sequence[CellTask], store: ResultStore) -> None:
         # One batched probe instead of a stat per task (cheap on remote
         # object stores and shared/NFS filesystems alike).
         stored = store.contains_many([task.key for task in tasks])
         tasks = [task for task in tasks if task.key not in stored]
-        for task in self._enqueue_order(tasks):
+        for task in tasks:
             self.queue.enqueue(task)
         if not self.wait:
             return

@@ -139,11 +139,9 @@ class BenchmarkTracker:
     entry — one key per run, so concurrent recorders (two CI runners
     sharing one tracker) can never lose each other's entry the way a
     read-modify-write shared index would.  Runs are ordered by their
-    ``recorded_at`` timestamp; a legacy ``runs.json`` index (written by
-    older versions) is still read and merged.
+    ``recorded_at`` timestamp.
     """
 
-    _LEGACY_INDEX_KEY = "runs.json"
     _RUNS_PREFIX = "runs/"
 
     def __init__(self, location: "str | Path | StorageBackend"):
@@ -157,18 +155,9 @@ class BenchmarkTracker:
 
     def runs(self) -> list[dict]:
         """All recorded runs, oldest first (by ``recorded_at``)."""
-        by_commit: dict[str, dict] = {}
-        try:
-            for entry in json.loads(self.storage.get_text(self._LEGACY_INDEX_KEY)):
-                by_commit[entry["commit"]] = entry
-        except KeyError:
-            pass
-        run_keys = self.storage.list_keys(self._RUNS_PREFIX)
-        for payload in self.storage.get_many(run_keys).values():
-            entry = json.loads(payload)
-            by_commit[entry["commit"]] = entry
+        payloads = self.storage.get_many(self.storage.list_keys(self._RUNS_PREFIX))
         return sorted(
-            by_commit.values(),
+            (json.loads(payload) for payload in payloads.values()),
             key=lambda entry: (entry.get("recorded_at", 0.0), entry["commit"]),
         )
 

@@ -230,8 +230,7 @@ class ObjectQueue:
         individual claim is one conditional PUT, so racing workers
         interleave safely — every advertised attempt is won by exactly one.
         Markers sort by their publication stamp, so claims follow enqueue
-        order: ``sweep submit --schedule lpt`` enqueues dear cells first
-        and the fleet starts its stragglers first.  Returns fewer than
+        order, which is the sweep's submission order.  Returns fewer than
         *count* tasks (possibly none) when the queue runs dry or races are
         lost; callers treat a short batch as "queue is draining".
         """

@@ -44,11 +44,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..parallel import ParallelJob, _execute_timed, resolve_schedule
+from ..parallel import ParallelJob, _execute
 from ..telemetry import Histogram, StorageSink, Tracer
 from ..telemetry.report import parse_event_lines
 from .backends import ExecutorBackend, FileQueueBackend
-from .costmodel import cost_key, cost_model_for
 from .filequeue import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_ATTEMPTS,
@@ -131,14 +130,7 @@ class CachedExecutor:
                 CellTask(
                     key,
                     cell,
-                    meta={
-                        "func": qualified_name(cell.func),
-                        "salt": self.salt,
-                        # The cell's cost class: together with the backend's
-                        # measured runtime_s this record becomes one training
-                        # observation for the profile-guided cost model.
-                        "cost_key": cost_key(cell),
-                    },
+                    meta={"func": qualified_name(cell.func), "salt": self.salt},
                 )
             )
         if missing:
@@ -270,21 +262,16 @@ def submit(
     *,
     options: dict | None = None,
     salt: str | None = None,
-    schedule: str | None = None,
-    cost_model=None,
 ) -> SubmitReport:
     """Enumerate the cells of sweep *name*, record its manifest, and queue
     every cell whose result is not already in the store.
 
-    Under ``schedule="lpt"`` (or ``ISEGEN_SCHEDULE=lpt``) the missing cells
-    are enqueued in descending predicted cost — workers claim in enqueue
-    order, so the fleet starts the sweep's stragglers first.  The manifest's
-    ``keys`` stay in **submission order** regardless: enqueue order affects
-    wall clock only, never the row order of the collected tables.
+    Missing cells are enqueued in submission order, which is also the
+    order of the manifest's ``keys`` — the row order of the collected
+    tables.
     """
     spec = sweep_spec(name)
     options = spec.normalize_options(options or {})
-    mode = resolve_schedule(schedule)
     executor = _SubmitExecutor(directory.store, salt=salt)
     try:
         spec.build(executor, **options)
@@ -301,7 +288,6 @@ def submit(
         "created_at": time.time(),
         "keys": keys,
         "funcs": sorted({qualified_name(cell.func) for cell in cells}),
-        "schedule": mode,
     }
     directory.save_manifest(name, manifest)
 
@@ -311,7 +297,6 @@ def submit(
     # stat per cell — a resubmitted 100%-hit sweep costs one round trip.
     stored = directory.store.contains_many(list(dict.fromkeys(keys)))
     seen: set[str] = set()
-    to_enqueue: list[CellTask] = []
     for key, cell in zip(keys, cells):
         if key in seen:
             continue
@@ -323,31 +308,15 @@ def submit(
             # (`sweep retry` clears the records and re-submits).
             failed += 1
         else:
-            to_enqueue.append(
-                CellTask(
-                    key,
-                    cell,
-                    meta={
-                        "func": qualified_name(cell.func),
-                        "salt": executor.salt,
-                        "cost_key": cost_key(cell),
-                    },
-                )
+            task = CellTask(
+                key,
+                cell,
+                meta={"func": qualified_name(cell.func), "salt": executor.salt},
             )
-    if mode == "lpt" and len(to_enqueue) > 1:
-        model = (
-            cost_model
-            if cost_model is not None
-            else cost_model_for(directory)
-        )
-        costs = [model.predict(task.cell) for task in to_enqueue]
-        order = sorted(range(len(to_enqueue)), key=lambda i: (-costs[i], i))
-        to_enqueue = [to_enqueue[i] for i in order]
-    for task in to_enqueue:
-        if directory.queue.enqueue(task):
-            enqueued += 1
-        else:
-            already_queued += 1
+            if directory.queue.enqueue(task):
+                enqueued += 1
+            else:
+                already_queued += 1
     return SubmitReport(
         name=name,
         total=len(seen),
@@ -373,12 +342,7 @@ def retry(directory: SweepDirectory, name: str) -> tuple[int, SubmitReport]:
     cleared = sum(
         1 for key in set(manifest["keys"]) if directory.queue.clear_failure(key)
     )
-    return cleared, submit(
-        directory,
-        name,
-        options=manifest["options"],
-        schedule=manifest.get("schedule"),
-    )
+    return cleared, submit(directory, name, options=manifest["options"])
 
 
 # ----------------------------------------------------------------------
@@ -583,7 +547,7 @@ def worker_loop(
                                 "func": task.meta.get("func", "?"),
                             },
                         ):
-                            result, seconds = _execute_timed(task.cell)
+                            result = _execute(task.cell)
                     except Exception as error:  # noqa: BLE001 — worker must survive bad cells
                         with beat_lock:
                             if task in outstanding:
@@ -608,7 +572,6 @@ def worker_loop(
                             meta={
                                 "worker": worker,
                                 "attempt": task.attempt,
-                                "runtime_s": round(seconds, 6),
                                 **task.meta,
                             },
                         )
@@ -935,14 +898,9 @@ def make_queue_backend(
     wait: bool = True,
     poll_interval: float = 0.2,
     timeout: float | None = None,
-    cost_model=None,
 ) -> FileQueueBackend:
     return FileQueueBackend(
-        directory.queue,
-        wait=wait,
-        poll_interval=poll_interval,
-        timeout=timeout,
-        cost_model=cost_model,
+        directory.queue, wait=wait, poll_interval=poll_interval, timeout=timeout
     )
 
 

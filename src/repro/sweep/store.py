@@ -169,26 +169,6 @@ class ResultStore:
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
 
-    def iter_metas(self) -> Iterator[dict]:
-        """Every record's ``meta`` block, in one batched ``get_many`` walk.
-
-        The bulk-ingestion path of the profile-guided cost model
-        (:meth:`repro.sweep.costmodel.CostModel.ingest_store`): each meta
-        carries ``runtime_s``/``cost_key`` on records written by current
-        backends; legacy records (or foreign/corrupt files) yield whatever
-        meta they have — possibly ``{}`` — and never raise.
-        """
-        payloads = self.backend.get_many(
-            [self.storage_key(key) for key in self.keys()]
-        )
-        for payload in payloads.values():
-            try:
-                meta = json.loads(payload.decode("utf-8")).get("meta", {})
-            except (ValueError, UnicodeDecodeError):
-                continue
-            if isinstance(meta, dict):
-                yield meta
-
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------

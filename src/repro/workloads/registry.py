@@ -28,7 +28,6 @@ ready for any ISE-generation algorithm.
 
 from __future__ import annotations
 
-import os
 import pickle
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -75,8 +74,6 @@ def workload_spec(name: str) -> WorkloadSpec:
         ) from exc
 
 
-#: Kill switch for the per-process workload memo (``=0`` disables it).
-MEMO_ENV_VAR = "ISEGEN_WORKLOAD_MEMO"
 #: Bounded size of the memo: larger than the paper's benchmark set, small
 #: enough that generated/synthetic corpora cannot grow a worker unboundedly.
 _MEMO_LIMIT = 8
@@ -96,10 +93,6 @@ def clear_workload_memo() -> None:
     memo_misses = 0
 
 
-def _memo_enabled() -> bool:
-    return os.environ.get(MEMO_ENV_VAR, "1") != "0"
-
-
 def load_workload(name: str) -> Program:
     """Build the named workload's program.
 
@@ -109,15 +102,11 @@ def load_workload(name: str) -> Program:
     that mutate their program cannot leak state into the next cell — while
     the structural work the cell actually repeats (bitset index tables)
     still hits the per-process :func:`repro.dfg.bitset.shared_index` memo,
-    which keys on graph structure, not object identity.  This is what the
-    ``lpt`` schedule's cache-affinity steering makes pay off: cells of one
-    workload land in one worker process, so every build after the first is
-    a memo hit.  ``ISEGEN_WORKLOAD_MEMO=0`` disables the memo.
+    which keys on graph structure, not object identity.  Every process that
+    runs more than one cell of a workload — a pool worker, a sweep worker,
+    the service's local worker — builds it once and unpickles it after.
     """
     global memo_hits, memo_misses
-    if not _memo_enabled():
-        with telemetry.span("workload.load", workload=name):
-            return workload_spec(name).build()
     blob = _MEMO.get(name)
     if blob is not None:
         memo_hits += 1

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import run_ablation, run_figure1, run_parallel, run_scaling
-from repro.experiments.runner import ParallelJob, job
+from repro.experiments.runner import ParallelJob, execute_jobs, job
 
 
 def _slow_failing_cell(message, delay):
@@ -48,6 +48,17 @@ def test_run_parallel_serial_preserves_order():
 def test_run_parallel_pool_preserves_submission_order():
     jobs = [job(_square_cell, i) for i in range(25)]
     assert run_parallel(jobs, workers=4) == [i * i for i in range(25)]
+
+
+def test_on_result_reports_every_job_once():
+    jobs = [job(_square_cell, i) for i in range(8)]
+    reported = []
+    execute_jobs(
+        jobs,
+        workers=2,
+        on_result=lambda index, result: reported.append((index, result)),
+    )
+    assert sorted(reported) == [(i, i * i) for i in range(8)]
 
 
 def test_run_parallel_rejects_invalid_worker_count():

@@ -1,16 +1,13 @@
-"""Property: scheduling is invisible in the results.
+"""Property: the worker count is invisible in the results.
 
-The profile-guided ``lpt`` schedule (and the cost model behind it) is
-allowed to change wall clock only.  These properties pin that down at the
-engine level: for any job list, any worker count, any schedule, and any —
-deliberately wrong, negative, NaN — cost model, :func:`execute_jobs`
-returns exactly what the serial loop returns, in submission order.  The
-LPT planner itself is checked to be a deterministic exact partition.
+For any job list and any worker count, :func:`execute_jobs` returns
+exactly what the serial loop returns, in submission order, and reports
+every job to ``on_result`` exactly once.
 
-The engine's pool layout, planning, submission, and reassembly paths are
-exercised for real; only process spin-up is swapped for threads via the
-``pool_factory`` seam (process-pool integration is covered at fixed worker
-counts in ``tests/experiments/test_scheduler.py``).
+The engine's submission and reassembly paths are exercised for real; only
+process spin-up is swapped for threads via the ``pool_factory`` seam
+(process-pool integration is covered at fixed worker counts in
+``tests/experiments/test_parallel_runner.py``).
 """
 
 from __future__ import annotations
@@ -20,113 +17,30 @@ from concurrent.futures import ThreadPoolExecutor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel import execute_jobs, job, plan_lpt
-
-# ----------------------------------------------------------------------
-# Strategies
-# ----------------------------------------------------------------------
-#: Any float a model could emit, including garbage (NaN, ±inf, negatives).
-any_cost = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.integers(min_value=-(10**6), max_value=10**6),
-)
-
-costed_jobs = st.lists(
-    st.tuples(st.integers(min_value=-1000, max_value=1000), any_cost),
-    min_size=0,
-    max_size=24,
-)
+from repro.parallel import execute_jobs, job
 
 
 def _cell(value: int) -> tuple:
     return ("cell", value, value * 3)
 
 
-class _FixedModel:
-    """Cost model stub returning whatever the strategy generated."""
-
-    def __init__(self, costs, affinities):
-        self._costs = costs
-        self._affinities = affinities
-
-    def predict(self, cell):
-        return self._costs[cell.args[0]]
-
-    def affinity(self, cell):
-        return self._affinities[cell.args[0]]
-
-
 # ----------------------------------------------------------------------
-# Planner invariants
-# ----------------------------------------------------------------------
-@settings(max_examples=120, deadline=None)
-@given(
-    costs=st.lists(any_cost, min_size=0, max_size=40),
-    workers=st.integers(min_value=1, max_value=8),
-    affinity_mod=st.integers(min_value=1, max_value=5),
-    use_affinity=st.booleans(),
-)
-def test_plan_lpt_is_an_exact_deterministic_partition(
-    costs, workers, affinity_mod, use_affinity
-):
-    affinities = (
-        [f"g{i % affinity_mod}" for i in range(len(costs))] if use_affinity else None
-    )
-    bins = plan_lpt(costs, affinities, workers)
-    again = plan_lpt(costs, affinities, workers)
-    assert bins == again  # deterministic
-    assert len(bins) <= workers
-    flat = [index for bucket in bins for index in bucket]
-    assert sorted(flat) == list(range(len(costs)))  # exact partition
-    assert all(bucket for bucket in bins)  # no empty bins returned
-
-
-@settings(max_examples=60, deadline=None)
-@given(costs=st.lists(any_cost, min_size=1, max_size=40))
-def test_plan_lpt_single_worker_keeps_descending_cost_order(costs):
-    (bucket,) = plan_lpt(costs, None, 1)
-    # Within one bin, jobs are dispatched longest-first (sanitized cost,
-    # submission index as the tie-break).
-    def sane(value):
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            return 0.0
-        if value != value or value in (float("inf"), float("-inf")) or value < 0:
-            return 0.0
-        return value
-
-    ranks = [(-sane(costs[i]), i) for i in bucket]
-    assert ranks == sorted(ranks)
-
-
-# ----------------------------------------------------------------------
-# Row identity across schedules × workers × wrong models
+# Row identity across worker counts
 # ----------------------------------------------------------------------
 @settings(max_examples=50, deadline=None)
 @given(
-    items=costed_jobs,
+    count=st.integers(min_value=0, max_value=24),
     workers=st.integers(min_value=1, max_value=4),
-    schedule=st.sampled_from(["fifo", "lpt"]),
-    affinity_mod=st.integers(min_value=1, max_value=4),
 )
-def test_rows_identical_for_any_schedule_and_any_cost_model(
-    items, workers, schedule, affinity_mod
-):
-    costs = {i: cost for i, (_, cost) in enumerate(items)}
-    affinities = {i: f"g{i % affinity_mod}" for i in range(len(items))}
-    # The job index doubles as the model's lookup key (first arg); the
-    # payload value makes each result distinguishable.
-    jobs = [job(_cell, i) for i in range(len(items))]
-    expected = [_cell(i) for i in range(len(items))]
+def test_rows_identical_for_any_worker_count(count, workers):
+    jobs = [job(_cell, i) for i in range(count)]
+    expected = [_cell(i) for i in range(count)]
 
     seen = []
     results = execute_jobs(
         jobs,
         workers=workers,
-        schedule=schedule,
-        cost_model=_FixedModel(costs, affinities),
-        on_result=lambda index, result, seconds: seen.append(index),
+        on_result=lambda index, result: seen.append(index),
         pool_factory=ThreadPoolExecutor,
     )
     assert results == expected  # submission order, bit-identical

@@ -102,19 +102,3 @@ def test_tracker_run_entries_are_per_commit_keys(tmp_path):
         "runs/race-b.json",
     ]
 
-
-def test_tracker_reads_legacy_runs_index(tmp_path):
-    """Histories written by the old shared runs.json index stay readable
-    and merge with new per-commit entries (new entries win per commit)."""
-    tracker = BenchmarkTracker(tmp_path / "track")
-    tracker.storage.put_text(
-        "runs.json",
-        json.dumps(
-            [
-                {"commit": "old1", "recorded_at": 1.0, "benchmarks": ["t/a"]},
-                {"commit": "old2", "recorded_at": 2.0, "benchmarks": ["t/a"]},
-            ]
-        ),
-    )
-    tracker.record(_artifact(tmp_path / "new.json", {"t/a": 1.0}), commit="new1")
-    assert [run["commit"] for run in tracker.runs()] == ["old1", "old2", "new1"]

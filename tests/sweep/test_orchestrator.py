@@ -3,6 +3,7 @@ resume-after-kill, and distributed sharding over the file queue."""
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import shutil
@@ -339,73 +340,80 @@ def test_submit_reports_parked_failures_and_retry_requeues_them(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Profile-guided scheduling through the sweep layer
+# Store-record provenance and batched claims
 # ----------------------------------------------------------------------
-def test_store_records_carry_runtime_and_cost_key(tmp_path):
+def test_backend_records_name_their_backend(tmp_path):
     directory = SweepDirectory(tmp_path / "sweep")
-    submit(directory, "figure1")
-    worker_loop(directory, poll_interval=0.01)
-    metas = list(directory.store.iter_metas())
-    assert len(metas) == 4
-    for meta in metas:
-        assert meta["runtime_s"] >= 0.0
-        assert isinstance(meta["cost_key"], str) and meta["cost_key"]
+    run_cached(directory, "figure1", backend=SerialBackend())
+    records = [directory.store.record(key) for key in directory.store.keys()]
+    assert len(records) == 4
+    for record in records:
+        assert record["meta"]["backend"] == "serial"
+        assert not {"runtime_s", "cost_key"} & set(record["meta"])
 
 
-def test_backend_records_runtime_and_model_bootstraps_from_store(tmp_path):
-    from repro.sweep import cost_model_for
-
-    directory = SweepDirectory(tmp_path / "sweep")
-    tables, executor = run_cached(directory, "figure1", backend=SerialBackend())
-    model = cost_model_for(directory)
-    assert model.observations == 4
-    for cell_meta in directory.store.iter_metas():
-        assert cell_meta["backend"] == "serial"
-        assert cell_meta["runtime_s"] >= 0.0
-
-
-def test_submit_lpt_records_schedule_and_enqueues_cost_descending(tmp_path):
-    from repro.sweep import CostModel
-
-    class _ByKey(CostModel):
-        def predict(self, cell):
-            # figure1's cells vary by workload argument; rank by name so
-            # the expected enqueue order is known.
-            return float(len(str(cell.args)))
-
-    directory = SweepDirectory(tmp_path / "sweep")
-    report = submit(directory, "figure1", schedule="lpt", cost_model=_ByKey())
-    assert report.enqueued == 4
-    manifest = directory.load_manifest("figure1")
-    assert manifest["schedule"] == "lpt"
-    # Manifest keys stay in submission order (row order of the tables),
-    # identical to what a fifo submit of the same sweep records...
-    fifo_dir = SweepDirectory(tmp_path / "fifo")
-    submit(fifo_dir, "figure1")
-    assert manifest["keys"] == fifo_dir.load_manifest("figure1")["keys"]
-    # ...while the queue hands tasks out in predicted-cost-descending order.
-    model = _ByKey()
-    claimed = []
-    while True:
-        task = directory.queue.claim("probe")
-        if task is None:
-            break
-        claimed.append(model.predict(task.cell))
-    assert claimed == sorted(claimed, reverse=True)
-    # Default submission (no flag, no env) records fifo and is unchanged.
-    directory2 = SweepDirectory(tmp_path / "sweep2")
-    submit(directory2, "figure1")
-    assert directory2.load_manifest("figure1")["schedule"] == "fifo"
-
-
-def test_sweep_rows_identical_under_lpt_submit_and_batched_workers(tmp_path):
+def test_sweep_rows_identical_under_batched_workers(tmp_path):
     serial = run_figure1()
     directory = SweepDirectory(tmp_path / "sweep")
-    submit(directory, "figure1", schedule="lpt")
+    submit(directory, "figure1")
     report = worker_loop(directory, poll_interval=0.01, claim_batch=3)
     assert report.executed == 4 and report.failed == 0
     (table,) = collect(directory, "figure1")
     assert table.rows == serial.rows
+
+
+def _add_scheduler_leftovers(directory: SweepDirectory, name: str) -> None:
+    """Give *directory* the on-disk shape older releases wrote while the
+    profile-guided scheduler existed: an ``lpt`` manifest, records whose
+    meta carries ``cost_key``/``runtime_s``, and a ``costmodel/`` blob."""
+    manifest = directory.load_manifest(name)
+    manifest["schedule"] = "lpt"
+    directory.save_manifest(name, manifest)
+    store = directory.store
+    for key in list(store.keys()):
+        record = store.record(key)
+        record["meta"]["cost_key"] = f"{record['meta']['func']}|legacy"
+        record["meta"]["runtime_s"] = 0.25
+        store.backend.put_atomic(
+            store.storage_key(key), json.dumps(record, indent=1).encode("utf-8")
+        )
+    directory.storage.sub("costmodel").put_text(
+        "profile.json",
+        json.dumps({"version": 1, "profiles": {"x|legacy": {"count": 4, "total": 1.0}}}),
+    )
+
+
+def test_sweep_written_with_scheduler_leftovers_still_works(tmp_path, capsys):
+    from repro.cli import main
+
+    fresh = SweepDirectory(tmp_path / "fresh")
+    submit(fresh, "figure1")
+    worker_loop(fresh, poll_interval=0.01)
+    (fresh_table,) = collect(fresh, "figure1")
+
+    directory = SweepDirectory(tmp_path / "old")
+    submit(directory, "figure1")
+    worker_loop(directory, poll_interval=0.01, max_tasks=3)
+    _add_scheduler_leftovers(directory, "figure1")
+
+    before = status(directory, "figure1")
+    assert (before.done, before.pending, before.complete) == (3, 1, False)
+    cleared, resubmit = retry(directory, "figure1")
+    assert cleared == 0
+    assert (resubmit.cached, resubmit.already_queued) == (3, 1)
+    assert "schedule" not in directory.load_manifest("figure1")
+    assert worker_loop(directory, poll_interval=0.01).executed == 1
+    assert status(directory, "figure1").complete
+
+    (table,) = collect(directory, "figure1")
+    assert table.rows == fresh_table.rows
+
+    dry = ["sweep", "gc", "--dir", str(tmp_path / "old"), "--dry-run"]
+    assert main(dry) == 0
+    out = capsys.readouterr().out
+    assert "would reclaim 0 stale record(s)" in out and "(4 record(s)" in out
+    assert len(list(directory.store.keys())) == 4
+    assert directory.storage.sub("costmodel").list_keys() == ["profile.json"]
 
 
 def test_worker_loop_adaptive_batching_drains_deep_queue(tmp_path):

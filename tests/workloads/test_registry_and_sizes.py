@@ -106,12 +106,3 @@ def test_load_workload_memoizes_per_process(monkeypatch):
     ] == [(op.opcode, tuple(op.operands)) for op in second.blocks[0].dfg.nodes]
     registry.clear_workload_memo()
 
-
-def test_workload_memo_env_kill_switch(monkeypatch):
-    from repro.workloads import registry
-
-    registry.clear_workload_memo()
-    monkeypatch.setenv(registry.MEMO_ENV_VAR, "0")
-    load_workload("conven00")
-    load_workload("conven00")
-    assert registry.memo_hits == 0 and registry.memo_misses == 0
