@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import GeneticConfig, GeneticGenerator
-from repro.core import ISEGen
-from repro.hwmodel import ISEConstraints
+from repro.baselines import GeneticConfig, GeneticCutFinder, GeneticGenerator
+from repro.baselines.genetic import GeneticSearch
+from repro.core import ApplicationISEDriver, ISEGen
+from repro.hwmodel import ISEConstraints, LatencyModel
 from repro.reuse import reuse_aware_speedup
 from repro.workloads import load_workload
+from tests.oracles.cut_evaluator import ReferenceCutEvaluator
 
 from .conftest import run_once
 
@@ -46,6 +48,25 @@ def test_figure6_isegen(benchmark, io):
     assert reuse.reuse_speedup >= 1.0
 
 
+class _ReferenceGeneticCutFinder(GeneticCutFinder):
+    """The Genetic block search on the frozenset oracle evaluator, injected
+    through ``GeneticSearch(evaluator=)``."""
+
+    def best_cut(self, dfg, allowed, constraints, latency_model):
+        search = GeneticSearch(
+            dfg,
+            constraints,
+            latency_model,
+            self.config,
+            allowed=allowed,
+            evaluator=ReferenceCutEvaluator(dfg, constraints, latency_model),
+        )
+        members = search.run()
+        if members is None or search.merit(members) <= 0:
+            return None
+        return members
+
+
 @pytest.mark.parametrize(
     "evaluator", ["bitset", "reference"], ids=["bitset", "reference"]
 )
@@ -56,11 +77,14 @@ def test_figure6_genetic(benchmark, io, evaluator):
     genetic speedup recorded in PERFORMANCE.md)."""
     constraints = ISEConstraints(max_inputs=io[0], max_outputs=io[1], max_ises=1)
     benchmark.group = f"figure6 AES {constraints.io}"
-    generator = GeneticGenerator(
-        constraints,
-        GeneticConfig.quick(),
-        reference_evaluator=evaluator == "reference",
-    )
+    if evaluator == "reference":
+        generator = ApplicationISEDriver(
+            _ReferenceGeneticCutFinder(GeneticConfig.quick()),
+            constraints,
+            LatencyModel(),
+        )
+    else:
+        generator = GeneticGenerator(constraints, GeneticConfig.quick())
     result, reuse = run_once(benchmark, _generate_and_score, generator)
     benchmark.extra_info["speedup_with_reuse"] = round(reuse.reuse_speedup, 4)
     benchmark.extra_info["speedup_single_use"] = round(reuse.single_use_speedup, 4)

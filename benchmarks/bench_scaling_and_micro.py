@@ -21,7 +21,12 @@
   identical; the wall-clock speedup assertion is gated on the machine
   actually having multiple cores.
 * ``test_gain_cache_*`` measures the cached K-L inner loop against the
-  uncached one on the same block and asserts the cuts are identical.
+  uncached oracle loop (``tests/oracles/kl.py``) on the same block and
+  asserts the cuts are identical.
+
+The ``reference`` / ``cache_off`` variants run the oracles of
+``tests/oracles``, the executable specifications the production engines
+are pinned bit-identical to.
 """
 
 from __future__ import annotations
@@ -41,10 +46,6 @@ from repro.baselines import (
     run_isegen,
     run_iterative,
 )
-from repro.baselines.enumeration import (
-    _reference_best_single_cut,
-    _reference_enumerate_feasible_cuts,
-)
 from repro.baselines.genetic import GeneticConfig, GeneticSearch
 from repro.core import (
     BitsetCutEvaluator,
@@ -52,7 +53,6 @@ from repro.core import (
     IOState,
     ISEGenConfig,
     PartitionState,
-    ReferenceCutEvaluator,
     bipartition,
 )
 from repro.dfg import (
@@ -66,6 +66,12 @@ from repro.dfg import (
 from repro.experiments import run_ablation
 from repro.hwmodel import ISEConstraints
 from repro.workloads import load_workload, regular_program
+from tests.oracles.cut_evaluator import ReferenceCutEvaluator
+from tests.oracles.enumeration import (
+    reference_best_single_cut,
+    reference_enumerate_feasible_cuts,
+)
+from tests.oracles.kl import reference_bipartition
 
 from .conftest import run_once
 
@@ -164,8 +170,8 @@ _ENUMERATION_DFGS = {
 _ENUMERATION_ENGINES = {
     "stack": (enumerate_feasible_cuts, best_single_cut),
     "reference": (
-        _reference_enumerate_feasible_cuts,
-        _reference_best_single_cut,
+        reference_enumerate_feasible_cuts,
+        reference_best_single_cut,
     ),
 }
 
@@ -439,16 +445,16 @@ _CACHE_DFG = random_dfg(150, seed=29, live_out_fraction=0.2)
 @pytest.mark.parametrize("cached", [True, False], ids=["cache_on", "cache_off"])
 def test_gain_cache_bipartition(benchmark, cached):
     benchmark.group = "gain cache (150-node block)"
-    config = ISEGenConfig(use_gain_cache=cached)
-    result = run_once(benchmark, bipartition, _CACHE_DFG, _MICRO_CONSTRAINTS, config)
+    run, other = bipartition, reference_bipartition
+    if not cached:
+        run, other = other, run
+    result = run_once(benchmark, run, _CACHE_DFG, _MICRO_CONSTRAINTS)
     benchmark.extra_info["merit"] = result.merit
     benchmark.extra_info["gain_evals"] = sum(t.gain_evals for t in result.passes)
     benchmark.extra_info["gain_cache_hits"] = sum(
         t.gain_cache_hits for t in result.passes
     )
-    reference = bipartition(
-        _CACHE_DFG, _MICRO_CONSTRAINTS, ISEGenConfig(use_gain_cache=not cached)
-    )
+    reference = other(_CACHE_DFG, _MICRO_CONSTRAINTS)
     assert result.members == reference.members
     assert result.merit == reference.merit
 

@@ -38,10 +38,10 @@ from .. import telemetry
 
 from ..core import (
     ApplicationISEDriver,
+    BitsetCutEvaluator,
     BlockCutFinder,
     CutEvaluator,
     ISEGenerationResult,
-    make_cut_evaluator,
 )
 from ..dfg import DataFlowGraph, indices_of_mask, mask_of, popcount
 from ..errors import ISEGenError
@@ -141,10 +141,10 @@ class GeneticSearch:
         self._candidate_mask = mask_of(self.candidates)
         self.rng = random.Random(self.config.seed)
         self.trace = GeneticTrace()
-        #: Merit / convexity / I/O oracle — the memoizing bitset evaluator by
-        #: default; the reference frozenset evaluator is injectable for the
-        #: equivalence tests.  Answers are bit-identical either way.
-        self.evaluator = evaluator or make_cut_evaluator(
+        #: Merit / convexity / I/O answers — the memoizing bitset evaluator
+        #: unless another :class:`CutEvaluator` is injected (the equivalence
+        #: tests inject the frozenset reference; answers are bit-identical).
+        self.evaluator = evaluator or BitsetCutEvaluator(
             dfg, constraints, self.model
         )
         self._fitness_memo: dict[int, float] = {}
@@ -358,17 +358,8 @@ class GeneticCutFinder(BlockCutFinder):
 
     name = "Genetic"
 
-    def __init__(
-        self,
-        config: GeneticConfig | None = None,
-        *,
-        reference_evaluator: bool = False,
-    ):
+    def __init__(self, config: GeneticConfig | None = None):
         self.config = config or GeneticConfig()
-        #: Use the from-scratch frozenset evaluator instead of the memoizing
-        #: bitset one (A/B benchmarking and equivalence tests; cuts are
-        #: identical either way).
-        self.reference_evaluator = reference_evaluator
         self.last_trace: GeneticTrace | None = None
         self.total_evaluations = 0
         self.total_memo_hits = 0
@@ -381,18 +372,8 @@ class GeneticCutFinder(BlockCutFinder):
         constraints: ISEConstraints,
         latency_model: LatencyModel,
     ) -> frozenset[int] | None:
-        evaluator = None
-        if self.reference_evaluator:
-            evaluator = make_cut_evaluator(
-                dfg, constraints, latency_model, reference=True
-            )
         search = GeneticSearch(
-            dfg,
-            constraints,
-            latency_model,
-            self.config,
-            allowed=allowed,
-            evaluator=evaluator,
+            dfg, constraints, latency_model, self.config, allowed=allowed
         )
         members = search.run()
         self.last_trace = search.trace
@@ -414,15 +395,11 @@ class GeneticGenerator:
         constraints: ISEConstraints | None = None,
         config: GeneticConfig | None = None,
         latency_model: LatencyModel | None = None,
-        *,
-        reference_evaluator: bool = False,
     ):
         self.constraints = constraints or ISEConstraints.paper_default()
         self.config = config or GeneticConfig()
         self.latency_model = latency_model or LatencyModel()
-        self.finder = GeneticCutFinder(
-            self.config, reference_evaluator=reference_evaluator
-        )
+        self.finder = GeneticCutFinder(self.config)
         self._driver = ApplicationISEDriver(
             self.finder, self.constraints, self.latency_model
         )

@@ -23,10 +23,10 @@ from collections.abc import Collection
 from .. import telemetry
 from ..core import (
     ApplicationISEDriver,
+    BitsetCutEvaluator,
     BlockCutFinder,
     CutEvaluator,
     ISEGenerationResult,
-    make_cut_evaluator,
 )
 from ..dfg import DataFlowGraph, indices_of_mask, mask_of
 from ..hwmodel import ISEConstraints, LatencyModel
@@ -48,7 +48,7 @@ def grow_cluster(
     (the memoizing bitset one unless injected), so trial cuts revisited
     while growing from different seeds are scored once.
     """
-    evaluator = evaluator or make_cut_evaluator(dfg, constraints, latency_model)
+    evaluator = evaluator or BitsetCutEvaluator(dfg, constraints, latency_model)
     index = dfg.bitset_index()
     allowed_mask = mask_of(allowed)
     members_mask = 1 << seed
@@ -102,7 +102,7 @@ def best_connected_cluster(
         ]
     # One evaluator for the whole sweep: clusters grown from different seeds
     # revisit the same trial cuts, which now hit the per-mask memo.
-    evaluator = evaluator or make_cut_evaluator(dfg, constraints, model)
+    evaluator = evaluator or BitsetCutEvaluator(dfg, constraints, model)
     best_members: frozenset[int] = frozenset()
     best_merit = 0
     for seed in sorted(allowed):

@@ -1,12 +1,7 @@
 """ISEGEN core: the Kernighan-Lin based ISE identification engine."""
 
 from .config import GainWeights, ISEGenConfig, canonical_state, fingerprint
-from .cut_evaluator import (
-    BitsetCutEvaluator,
-    CutEvaluator,
-    ReferenceCutEvaluator,
-    make_cut_evaluator,
-)
+from .cut_evaluator import BitsetCutEvaluator, CutEvaluator
 from .iostate import IOState
 from .state import PartitionState
 from .gain import GainBreakdown, GainEvaluator
@@ -22,9 +17,7 @@ __all__ = [
     "canonical_state",
     "fingerprint",
     "CutEvaluator",
-    "ReferenceCutEvaluator",
     "BitsetCutEvaluator",
-    "make_cut_evaluator",
     "IOState",
     "PartitionState",
     "GainBreakdown",

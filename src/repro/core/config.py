@@ -155,21 +155,6 @@ class ISEGenConfig:
     #: A legal cut must save at least this many cycles per execution to be
     #: accepted as an ISE.
     min_merit: int = 1
-    #: Stop a pass early once this many consecutive toggles fail to produce a
-    #: new best cut (0 disables the shortcut and mirrors the paper exactly by
-    #: always marking every node).
-    stall_limit: int = 0
-    #: When True, candidate merit estimates use the exact critical-path
-    #: recomputation instead of the incremental estimate (slower, used by the
-    #: tests that validate the estimate).
-    exact_candidate_merit: bool = False
-    #: Memoize per-node gain components across the inner loop, invalidating
-    #: only the entries a committed toggle can affect (see
-    #: :mod:`repro.core.gain_cache`).  Results are identical with or without
-    #: the cache; the flag exists for the equivalence tests and benchmarks.
-    #: Ignored (treated as False) when ``exact_candidate_merit`` is set, as
-    #: the exact probe mutates the state behind the cache's back.
-    use_gain_cache: bool = True
     #: How the working cut ``C`` evolves across improvement passes.  The
     #: paper's pseudocode never resets ``C`` inside the outer loop (it keeps
     #: toggling the same configuration, so consecutive passes sweep the
@@ -188,8 +173,6 @@ class ISEGenConfig:
     def __post_init__(self) -> None:
         if self.max_passes < 1:
             raise ISEGenError("max_passes must be at least 1")
-        if self.stall_limit < 0:
-            raise ISEGenError("stall_limit must be >= 0")
         if self.kernel not in ("auto", "pure", "numpy"):
             raise ISEGenError(
                 f"unknown mask kernel {self.kernel!r} "

@@ -1,4 +1,4 @@
-"""The cut-evaluation protocol: one oracle for merit, convexity and I/O.
+"""The cut-evaluation protocol: one interface for merit, convexity and I/O.
 
 Every ISE-identification algorithm in this library — the K-L loop, the
 genetic / greedy / enumeration / iterative-exact baselines — ultimately asks
@@ -8,22 +8,18 @@ the same three questions about a candidate cut:
 * is it **convex**?
 * how many **I/O ports** does it need, and does it fit the budget?
 
-:class:`CutEvaluator` fixes that interface.  Two interchangeable
-implementations are provided:
+:class:`CutEvaluator` fixes that interface and :class:`BitsetCutEvaluator`
+is its production implementation: queries run on the shared
+:class:`~repro.dfg.bitset.BitsetIndex` mask tables (AND/OR/popcount instead
+of set-walks) and every fully-evaluated cut is memoized by its mask, so
+re-scoring a previously seen cut (duplicate genetic chromosomes, repeated
+greedy growth fronts) is a dictionary hit.
 
-* :class:`ReferenceCutEvaluator` — the executable specification.  Every
-  query walks ``frozenset``s through the reference helpers in
-  :mod:`repro.dfg.io_count` / :mod:`repro.dfg.convexity` /
-  :mod:`repro.dfg.topology`, exactly as the baselines did historically.
-* :class:`BitsetCutEvaluator` — the production path.  Queries run on the
-  shared :class:`~repro.dfg.bitset.BitsetIndex` mask tables (AND/OR/popcount
-  instead of set-walks) and every fully-evaluated cut is memoized by its
-  mask, so re-scoring a previously seen cut (duplicate genetic chromosomes,
-  repeated greedy growth fronts) is a dictionary hit.
-
-Both return bit-identical answers; the Hypothesis equivalence suite in
-``tests/properties`` pins that.  The *incremental* flavour of the same
-machinery — per-toggle instead of per-cut — lives in
+The executable specification — a ``frozenset`` evaluator walking the
+reference helpers of :mod:`repro.dfg` — lives in
+``tests/oracles/cut_evaluator.py``; the Hypothesis equivalence suite in
+``tests/properties`` pins the two bit-identical.  The *incremental* flavour
+of the same machinery — per-toggle instead of per-cut — lives in
 :class:`~repro.core.state.PartitionState` plus
 :mod:`~repro.core.gain_cache`, which run on the same ``BitsetIndex``.
 
@@ -38,22 +34,9 @@ import math
 from collections.abc import Collection
 from dataclasses import dataclass
 
-from ..dfg import (
-    DataFlowGraph,
-    convex_closure,
-    count_io,
-    indices_of_mask,
-    is_convex,
-    mask_of,
-    popcount,
-)
+from ..dfg import DataFlowGraph, indices_of_mask, mask_of, popcount
 from ..dfg.kernels import MaskKernel, resolve_kernel
 from ..hwmodel import ISEConstraints, LatencyModel
-
-def _as_members(cut: int | Collection[int]) -> Collection[int]:
-    if isinstance(cut, int):
-        return indices_of_mask(cut)
-    return cut
 
 
 def _as_mask(cut: int | Collection[int]) -> int:
@@ -126,29 +109,6 @@ class CutEvaluator(abc.ABC):
         if self.is_convex(mask):
             return 0
         return len(self.convex_closure(mask)) - popcount(mask)
-
-
-class ReferenceCutEvaluator(CutEvaluator):
-    """From-scratch ``frozenset`` implementation (the executable spec)."""
-
-    name = "reference"
-
-    def io_counts(self, cut: int | Collection[int]) -> tuple[int, int]:
-        return count_io(self.dfg, _as_members(cut))
-
-    def is_convex(self, cut: int | Collection[int]) -> bool:
-        return is_convex(self.dfg, _as_members(cut))
-
-    def merit(self, cut: int | Collection[int]) -> int:
-        members = _as_members(cut)
-        if not members:
-            return 0
-        software = self.latency_model.software_latency(self.dfg, members)
-        hardware = self.latency_model.hardware_latency(self.dfg, members)
-        return software - hardware
-
-    def convex_closure(self, cut: int | Collection[int]) -> frozenset[int]:
-        return convex_closure(self.dfg, _as_members(cut))
 
 
 @dataclass
@@ -403,27 +363,7 @@ class BitsetCutEvaluator(CutEvaluator):
         return popcount(record.closure_mask) - popcount(mask)
 
 
-def make_cut_evaluator(
-    dfg: DataFlowGraph,
-    constraints: ISEConstraints,
-    latency_model: LatencyModel | None = None,
-    *,
-    reference: bool = False,
-    kernel: str | MaskKernel | None = None,
-) -> CutEvaluator:
-    """Factory: the production bitset evaluator, or the reference one.
-
-    *kernel* selects the mask-kernel backend of the bitset evaluator
-    (``None`` defers to ``ISEGEN_KERNEL`` / auto-detection); the reference
-    evaluator walks frozensets and ignores it."""
-    if reference:
-        return ReferenceCutEvaluator(dfg, constraints, latency_model)
-    return BitsetCutEvaluator(dfg, constraints, latency_model, kernel=kernel)
-
-
 __all__ = [
     "CutEvaluator",
-    "ReferenceCutEvaluator",
     "BitsetCutEvaluator",
-    "make_cut_evaluator",
 ]

@@ -70,16 +70,9 @@ class GainBreakdown:
 class GainEvaluator:
     """Evaluates the gain of toggling any node w.r.t. a partition state."""
 
-    def __init__(
-        self,
-        state: PartitionState,
-        weights: GainWeights | None = None,
-        *,
-        exact_merit: bool = False,
-    ):
+    def __init__(self, state: PartitionState, weights: GainWeights | None = None):
         self.state = state
         self.weights = weights or GainWeights()
-        self.exact_merit = exact_merit
         index = state.dfg.bitset_index()
         self._dist_up = index.dist_up
         self._dist_down = index.dist_down
@@ -106,8 +99,6 @@ class GainEvaluator:
         """M(C +/- u) when the new cut is convex, else 0."""
         if not self.state.convex_if_toggled(index):
             return 0.0
-        if self.exact_merit:
-            return float(self.state.exact_merit_if_toggled(index))
         return float(self.state.estimate_merit_if_toggled(index))
 
     def io_penalty_component(self, index: int) -> float:

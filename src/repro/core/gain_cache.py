@@ -33,9 +33,9 @@ What a toggle of ``u`` can change, per gain component of a candidate ``v``:
   proximities) respectively.
 
 The cache also snapshots ``PartitionState.toggle_count``; if the state is
-mutated behind the cache's back (e.g. the exact-merit probe's
-toggle/measure/untoggle), everything is conservatively flushed, so cached
-results always equal a fresh :class:`GainEvaluator`'s.
+mutated behind the cache's back (a toggle without :meth:`note_commit`),
+everything is conservatively flushed, so cached results always equal a
+fresh :class:`GainEvaluator`'s.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 
 from ..dfg import mask_of
-from ..dfg.kernels import MaskKernel, NumpyKernel, resolve_kernel
+from ..dfg.kernels import NumpyKernel, resolve_kernel
 from ..errors import ISEGenError
 from .config import GainWeights
 from .gain import GainBreakdown, GainEvaluator
@@ -59,7 +59,7 @@ class CachedGainEvaluator(GainEvaluator):
     """
 
     def __init__(self, state: PartitionState, weights: GainWeights | None = None):
-        super().__init__(state, weights, exact_merit=False)
+        super().__init__(state, weights)
         dfg = state.dfg
         n = dfg.num_nodes
         index = dfg.bitset_index()
@@ -293,7 +293,7 @@ class VectorizedGainEvaluator(GainEvaluator):
         weights: GainWeights | None = None,
         kernel: NumpyKernel | None = None,
     ):
-        super().__init__(state, weights, exact_merit=False)
+        super().__init__(state, weights)
         if kernel is None:
             kernel = resolve_kernel("numpy")
         if kernel.name != "numpy":
@@ -617,11 +617,11 @@ class ShadowCutCache:
 
     ``bipartition`` projects every committed toggle of the working cut ``C``
     onto the legal shadow cut ``BC`` — but only when the toggle keeps ``BC``
-    convex and within the I/O budget.  Historically that check
-    (``_shadow_can_toggle``) re-derived both answers per committed toggle:
-    an I/O probe that toggles the shadow's ``IOState`` forth and back (two
-    O(degree) counter sweeps) and a convexity query against the shadow's
-    closure unions.
+    convex and within the I/O budget.  The from-scratch check (the uncached
+    loop in ``tests/oracles/kl.py``) re-derives both answers per committed
+    toggle: an I/O probe that toggles the shadow's ``IOState`` forth and
+    back (two O(degree) counter sweeps) and a convexity query against the
+    shadow's closure unions.
 
     This cache answers the same query from memoized per-node entries:
 
@@ -645,9 +645,7 @@ class ShadowCutCache:
       transfer is answered by :meth:`BitsetIndex.toggle_addendum`, a pure
       O(degree) mask formula over the shadow's cut mask, instead of
       toggling the shadow's ``IOState`` forth and back.  With it, no query
-      ever needs a from-scratch probe: ``fresh_probes`` stays 0 on the
-      cached path (the counter remains for the uncached-loop comparison in
-      :class:`~repro.core.kernighan_lin.PassTrace`).
+      ever needs a from-scratch probe.
     * **Pass-persistent shadow** — instead of rebuilding ``BC`` from
       scratch at every pass, the K-L loop resets it to the pass seed via
       :meth:`reset_to`, which walks a convexity-preserving toggle order
@@ -655,9 +653,9 @@ class ShadowCutCache:
       the actually-changed nodes are invalidated and every other memo
       survives into the next pass.
 
-    The verdicts are bit-identical to ``_shadow_can_toggle``'s; only the
-    amount of recomputation changes.  ``cached_queries`` / ``fresh_probes``
-    feed the :class:`~repro.core.kernighan_lin.PassTrace` counters.
+    The verdicts are bit-identical to the from-scratch check's; only the
+    amount of recomputation changes.  ``cached_queries`` feeds
+    :attr:`~repro.core.kernighan_lin.PassTrace.shadow_cache_hits`.
     """
 
     def __init__(self, shadow: PartitionState):
@@ -670,14 +668,10 @@ class ShadowCutCache:
         #: Queries answered from memoized / transferred / mask-formula
         #: entries — with the toggle-addendum path this is every query.
         self.cached_queries = 0
-        #: Queries that needed a from-scratch probe of the shadow state;
-        #: structurally 0 now, kept for the uncached-loop comparison.
-        self.fresh_probes = 0
 
     def begin_pass(self) -> None:
-        """Reset the per-pass counters (memoized entries survive)."""
+        """Reset the per-pass counter (memoized entries survive)."""
         self.cached_queries = 0
-        self.fresh_probes = 0
 
     # ------------------------------------------------------------------
     # Queries

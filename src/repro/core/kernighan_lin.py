@@ -28,9 +28,11 @@ text (the printed algorithm is partially garbled in the archived PDF); it is
 the interpretation under which the reported AES behaviour — large, highly
 reusable cuts found in a 696-node block — is reproducible.  DESIGN.md §4
 documents the reconstruction and the shadow-cut cache that serves the
-``BC`` legality projections (with the gain cache on, those queries are
-answered from memoized / gain-cache-transferred entries instead of fresh
-convexity and I/O probes; see :class:`~repro.core.gain_cache.ShadowCutCache`).
+``BC`` legality projections from memoized / gain-cache-transferred entries
+instead of fresh convexity and I/O probes (see
+:class:`~repro.core.gain_cache.ShadowCutCache`).  The uncached loop — a
+fresh shadow every pass, the plain :class:`~repro.core.gain.GainEvaluator`
+— is kept as the differential oracle in ``tests/oracles/kl.py``.
 
 The function operates on a restricted node set (``allowed``) so the
 multi-cut drivers can exclude nodes already claimed by previously generated
@@ -48,7 +50,6 @@ from ..dfg import Cut, DataFlowGraph
 from ..dfg.kernels import resolve_kernel
 from ..hwmodel import ISEConstraints, LatencyModel
 from .config import ISEGenConfig
-from .gain import GainEvaluator
 from .gain_cache import (
     CachedGainEvaluator,
     ShadowCutCache,
@@ -75,10 +76,10 @@ class PassTrace:
     #: of the shadow's maintained closure unions.
     shadow_cache_hits: int = 0
     #: Shadow-cut legality queries that ran a from-scratch O(degree)
-    #: I/O-addendum probe against the shadow state.  With the gain cache on
-    #: this is structurally 0 — first-time queries are answered by the
-    #: mask-based :meth:`BitsetIndex.toggle_addendum` formula — while the
-    #: uncached loop counts every query here.
+    #: I/O-addendum probe against the shadow state.  Structurally 0 here —
+    #: first-time queries are answered by the mask-based
+    #: :meth:`BitsetIndex.toggle_addendum` formula — while the uncached
+    #: oracle loop (``tests/oracles/kl.py``) counts every query here.
     shadow_fresh_probes: int = 0
     #: Committed working-cut toggles of this pass, in order (the trajectory
     #: the bit-identicality tests pin).
@@ -107,13 +108,12 @@ class BipartitionResult:
     def num_passes(self) -> int:
         return len(self.passes)
 
-    def trace_metrics(self) -> dict[str, int | float]:
-        """Aggregate the per-pass counters into one registry-ready mapping.
+    def trace_metrics(self) -> dict[str, int]:
+        """Aggregate the per-pass counters into one metrics mapping.
 
-        Values are plain sums of the legacy :class:`PassTrace` fields, so
-        a metrics registry absorbing them reproduces the dataclass
-        counters bit-identically (the telemetry layer wraps the traces,
-        it does not re-count anything).
+        Values are plain sums of the :class:`PassTrace` fields (the
+        telemetry layer reports the traces, it does not re-count anything);
+        the ``kl.bipartition`` span already carries the wall time.
         """
         return {
             "passes": len(self.passes),
@@ -124,15 +124,7 @@ class BipartitionResult:
             "shadow_cache_hits": sum(t.shadow_cache_hits for t in self.passes),
             "shadow_fresh_probes": sum(t.shadow_fresh_probes for t in self.passes),
             "merit": self.merit,
-            "runtime_seconds": self.runtime_seconds,
         }
-
-
-def _shadow_can_toggle(shadow: PartitionState, index: int) -> bool:
-    """Would toggling *index* keep the shadow cut legal (convex, I/O-ok)?"""
-    if not shadow.convex_if_toggled(index):
-        return False
-    return shadow.io_violation_if_toggled(index) == 0
 
 
 def bipartition(
@@ -219,54 +211,36 @@ def _bipartition_impl(
     # paper's pseudocode it persists across passes (consecutive passes sweep
     # the partition back and forth); the reset variant restarts it from the
     # best legal cut at every pass.
-    persistent_state = new_state(current_members)
-    use_cache = config.use_gain_cache and not config.exact_candidate_merit
-    cached_evaluator: CachedGainEvaluator | VectorizedGainEvaluator | None = None
-    shadow_cache: ShadowCutCache | None = None
+    state = new_state(current_members)
+    # One gain cache per bipartition: the static per-DFG tables are reused
+    # across passes, only the dynamic entries reset.  Under the numpy kernel
+    # the array-resident evaluator replaces the scalar cache (bit-identical
+    # trajectories and counters).
+    if kernel.name == "numpy":
+        evaluator = VectorizedGainEvaluator(state, config.weights, kernel)
+    else:
+        evaluator = CachedGainEvaluator(state, config.weights)
+    # BC — the legal shadow cut.  It (and its cache) persists across passes
+    # too: each pass re-seeds it at the current best by toggling along a
+    # convexity-preserving path, so cached legality entries away from the
+    # re-seeded nodes survive.
+    shadow_cache = ShadowCutCache(new_state(current_members))
+    shadow = shadow_cache.shadow
     for pass_index in range(config.max_passes):
         pass_started = telemetry.clock()
-        if config.reset_working_cut:
+        if config.reset_working_cut and pass_index:
             state = new_state(current_members)
-        else:
-            state = persistent_state
-        # BC — the legal shadow cut; starts each pass at the current best.
-        if use_cache:
-            # One cache per bipartition: the static per-DFG tables are
-            # reused across passes, only the dynamic entries reset.  Under
-            # the numpy kernel the array-resident evaluator replaces the
-            # scalar cache (bit-identical trajectories and counters).
-            if cached_evaluator is None:
-                if kernel.name == "numpy":
-                    cached_evaluator = VectorizedGainEvaluator(
-                        state, config.weights, kernel
-                    )
-                else:
-                    cached_evaluator = CachedGainEvaluator(state, config.weights)
-            else:
-                cached_evaluator.rebind(state)
-            evaluator: GainEvaluator = cached_evaluator
-            # The shadow (and its cache) persists across passes too: it is
-            # re-seeded by toggling along a convexity-preserving path, so
-            # cached legality entries away from the re-seeded nodes survive.
-            if shadow_cache is None:
-                shadow = new_state(current_members)
-                shadow_cache = ShadowCutCache(shadow)
-            else:
-                shadow = shadow_cache.shadow
-                shadow_cache.reset_to(current_members)
-            shadow_cache.begin_pass()
-        else:
-            shadow = new_state(current_members)
-            evaluator = GainEvaluator(
-                state, config.weights, exact_merit=config.exact_candidate_merit
-            )
+        # Counters restart every pass; cached entries survive while the
+        # evaluator still tracks the same, unmutated state.
+        evaluator.rebind(state)
+        shadow_cache.reset_to(current_members)
+        shadow_cache.begin_pass()
         trace = PassTrace(pass_index=pass_index, best_merit=current_merit)
         unmarked = [
             index for index in range(dfg.num_nodes) if state.is_allowed(index)
         ]
         best_members = current_members
         best_merit = current_merit
-        stalled = 0
         while unmarked:
             picked = evaluator.best_candidate(unmarked)
             if picked is None:  # pragma: no cover - unmarked is non-empty
@@ -281,46 +255,25 @@ def _bipartition_impl(
             unmarked.remove(best_node)
             trace.toggles += 1
             trace.toggle_order.append(best_node)
-            improved_here = False
             # The free cut C itself occasionally passes through legal states
             # (classic K-L prefix selection); record the best of them.
             if state.cut_size > 0 and state.is_legal() and state.merit > best_merit:
                 best_merit = state.merit
                 best_members = state.snapshot()
-                improved_here = True
             # Project the committed toggle onto the legal shadow cut BC.
-            desired_in_cut = state.in_cut(best_node)
-            if shadow.in_cut(best_node) != desired_in_cut:
-                if shadow_cache is not None:
-                    shadow_ok = shadow_cache.can_toggle(
-                        best_node, working_mask_before, pre_entries
-                    )
-                else:
-                    shadow_ok = _shadow_can_toggle(shadow, best_node)
-                    trace.shadow_fresh_probes += 1
-                if shadow_ok:
-                    if shadow_cache is not None:
-                        shadow_cache.apply(best_node)
-                    else:
-                        shadow.toggle(best_node)
-                    trace.shadow_updates += 1
-                    if shadow.cut_size > 0 and shadow.merit > best_merit:
-                        best_merit = shadow.merit
-                        best_members = shadow.snapshot()
-                        improved_here = True
-            if improved_here:
-                stalled = 0
-            else:
-                stalled += 1
-                if config.stall_limit and stalled >= config.stall_limit:
-                    break
+            if shadow.in_cut(best_node) != state.in_cut(
+                best_node
+            ) and shadow_cache.can_toggle(best_node, working_mask_before, pre_entries):
+                shadow_cache.apply(best_node)
+                trace.shadow_updates += 1
+                if shadow.cut_size > 0 and shadow.merit > best_merit:
+                    best_merit = shadow.merit
+                    best_members = shadow.snapshot()
         trace.best_merit = best_merit
         trace.improved = best_merit > current_merit
         trace.gain_evals = evaluator.full_evals
         trace.gain_cache_hits = evaluator.cache_hits
-        if shadow_cache is not None:
-            trace.shadow_cache_hits = shadow_cache.cached_queries
-            trace.shadow_fresh_probes = shadow_cache.fresh_probes
+        trace.shadow_cache_hits = shadow_cache.cached_queries
         passes.append(trace)
         telemetry.record_span(
             "kl.pass", pass_started, pass_index=pass_index, toggles=trace.toggles

@@ -346,18 +346,6 @@ class PartitionState:
         hw_cycles = max(self.latency_model.min_hardware_cycles, cycles)
         return new_sw - hw_cycles
 
-    def exact_merit_if_toggled(self, index: int) -> int:
-        """Exact merit of the hypothetical cut (toggle / measure / restore).
-
-        Costs a full O(|cut|) recomputation; used when
-        ``ISEGenConfig.exact_candidate_merit`` is set and by the tests that
-        bound the estimation error.
-        """
-        self.toggle(index)
-        merit = self.merit
-        self.toggle(index)
-        return merit
-
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------

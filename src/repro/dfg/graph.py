@@ -29,11 +29,23 @@ the partitioning engines need in their inner loop:
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from ..errors import DFGError
 from ..isa import Opcode, arity_of, hardware_delay, is_forbidden, software_cycles
+
+
+def _is_latency(value) -> bool:
+    """A real, finite, non-negative number (bools are not latencies)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value) and value >= 0
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 @dataclass
@@ -144,6 +156,12 @@ class DataFlowGraph:
                 f"node {name!r}: opcode {opcode.value} expects {expected} "
                 f"operands, got {len(operands)}"
             )
+        for label, value in (("sw_latency", sw_latency), ("hw_delay", hw_delay)):
+            if value is not None and not _is_latency(value):
+                raise DFGError(
+                    f"node {name!r}: {label} must be a finite, non-negative "
+                    f"number, got {value!r}"
+                )
         for operand in operands:
             if operand not in self._by_name and operand not in self._external_set:
                 self.add_external_input(operand)

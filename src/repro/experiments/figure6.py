@@ -50,13 +50,8 @@ def _figure6_cell(
             program
         )
     else:
-        # "Genetic/reference" pins the GA to the from-scratch frozenset cut
-        # evaluator — the A/B lever behind the PERFORMANCE.md timings; cuts
-        # are identical to the default memoizing bitset path.
         result = GeneticGenerator(
-            constraints=constraints,
-            config=genetic_config,
-            reference_evaluator=algorithm.endswith("/reference"),
+            constraints=constraints, config=genetic_config
         ).generate(program)
     reuse = reuse_aware_speedup(program, result)
     return {
@@ -81,16 +76,12 @@ def run_figure6(
     workload: str = "aes",
     workers: int = 1,
     executor=None,
-    include_reference_genetic: bool = False,
 ) -> ExperimentTable:
     """Regenerate Figure 6 (both panels) as one row table.
 
     ``quick_genetic`` uses the reduced genetic configuration on the 696-node
     block (the full configuration takes tens of minutes in pure Python while
     changing the outcome only marginally); pass ``False`` for the full run.
-    ``include_reference_genetic`` appends a third set of rows running the GA
-    on the from-scratch frozenset evaluator ("Genetic/reference"): identical
-    cuts, pre-bitset runtime — the A/B behind the PERFORMANCE.md numbers.
     """
     if genetic_config is None:
         genetic_config = GeneticConfig.quick() if quick_genetic else GeneticConfig()
@@ -116,11 +107,7 @@ def run_figure6(
         )
         for nise in nise_values
         for max_inputs, max_outputs in io_sweep
-        for algorithm in (
-            ("ISEGEN", "Genetic", "Genetic/reference")
-            if include_reference_genetic
-            else ("ISEGEN", "Genetic")
-        )
+        for algorithm in ("ISEGEN", "Genetic")
     ]
     execute = executor if executor is not None else run_parallel
     for row in execute(jobs, workers=workers):

@@ -29,6 +29,7 @@ server maps straight onto the response line.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from ..baselines import (
@@ -64,9 +65,6 @@ JOB_KINDS = ("sweep", "workload", "ir")
 _CONFIG_FIELDS = {
     "max_passes": int,
     "min_merit": (int, float),
-    "stall_limit": int,
-    "exact_candidate_merit": bool,
-    "use_gain_cache": bool,
     "reset_working_cut": bool,
 }
 _WEIGHT_FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon")
@@ -74,6 +72,17 @@ _WEIGHT_FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon")
 #: Hard ceiling on inline-IR size: a DFG bigger than the AES-696 block
 #: by an order of magnitude is a denial-of-service, not a workload.
 MAX_IR_NODES = 4096
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number that is neither a bool nor NaN/±inf (Python's json
+    module parses the ``NaN`` and ``Infinity`` literals)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 def _expect(payload: dict, key: str, types, *, required: bool = True, default=None):
@@ -116,10 +125,10 @@ def isegen_config_from(overrides: dict | None) -> ISEGenConfig:
             weights = {}
             for name in _WEIGHT_FIELDS:
                 if name in value:
-                    if isinstance(value[name], bool) or not isinstance(
-                        value[name], (int, float)
-                    ):
-                        raise ServiceError(f"config.weights.{name} must be a number")
+                    if not _is_finite_number(value[name]):
+                        raise ServiceError(
+                            f"config.weights.{name} must be a finite number"
+                        )
                     weights[name] = float(value[name])
             kwargs["weights"] = dataclasses.replace(GainWeights(), **weights)
         elif key in _CONFIG_FIELDS:
@@ -128,8 +137,8 @@ def isegen_config_from(overrides: dict | None) -> ISEGenConfig:
             if is_bool_field:
                 if not isinstance(value, bool):
                     raise ServiceError(f"config.{key} must be a boolean")
-            elif isinstance(value, bool) or not isinstance(value, expected):
-                raise ServiceError(f"config.{key} must be a number")
+            elif not isinstance(value, expected) or not _is_finite_number(value):
+                raise ServiceError(f"config.{key} must be a finite number")
             kwargs[key] = value
         else:
             raise ServiceError(
@@ -230,8 +239,10 @@ def _normalize_ir(payload: dict) -> dict:
         if not isinstance(block, dict) or "dfg" not in block:
             raise ServiceError(f"ir.blocks[{index}] must be an object with a 'dfg'")
         frequency = block.get("frequency", 1.0)
-        if isinstance(frequency, bool) or not isinstance(frequency, (int, float)):
-            raise ServiceError(f"ir.blocks[{index}].frequency must be a number")
+        if not _is_finite_number(frequency):
+            raise ServiceError(
+                f"ir.blocks[{index}].frequency must be a finite number"
+            )
         if frequency <= 0:
             raise ServiceError(f"ir.blocks[{index}].frequency must be positive")
         try:

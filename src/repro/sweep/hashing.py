@@ -30,8 +30,10 @@ from ..core.config import canonical_state, fingerprint
 from ..errors import ReproError
 from ..parallel import ParallelJob
 
-#: Bump when an algorithm/result-schema change invalidates stored cells.
-CODE_VERSION = "sweep-v1"
+#: Bump when an algorithm/result-schema change invalidates stored cells —
+#: or when a config dataclass loses fields: the cells that carried it get
+#: new keys, and only a new salt lets ``sweep gc`` reclaim the orphans.
+CODE_VERSION = "sweep-v2"
 
 _TUPLE_TAG = "__tuple__"
 _MAPPING_TAG = "__items__"

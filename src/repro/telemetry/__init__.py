@@ -20,7 +20,6 @@ from .metrics import (
     MetricsRegistry,
     format_trace_block,
     format_value,
-    registry_from_stats,
 )
 from .report import (
     TraceReport,
@@ -57,7 +56,6 @@ __all__ = [
     "MetricsRegistry",
     "format_trace_block",
     "format_value",
-    "registry_from_stats",
     "TraceReport",
     "TreeNode",
     "build_report",

@@ -1,21 +1,21 @@
-"""Metrics registry: counters, gauges, histograms over existing traces.
+"""Metrics registry: counters, gauges and histograms.
 
-The registry deliberately *wraps* the repo's legacy trace dataclasses
-(``PassTrace``, ``GeneticTrace``, ``EnumerationTrace``, ``StoreStats``,
-…) instead of replacing them: engines keep maintaining their own
-counters at zero extra steady-state cost, and the registry absorbs the
-finished dataclass (or a ``result.stats`` mapping) after the fact.  That
-is what makes the pinned-equivalence guarantee trivial — registry values
-are read straight out of the legacy fields, so they are bit-identical by
-construction.
+Engines keep their own trace dataclasses (``PassTrace``, ``GeneticTrace``,
+``EnumerationTrace``, ...) and emit plain numeric mappings of them through
+:func:`repro.telemetry.emit_metrics_lazy`.  The trace reporter
+(:mod:`repro.telemetry.report`) folds those events into a
+:class:`MetricsRegistry` with :meth:`MetricsRegistry.merge_snapshot` —
+ints accumulate as counters, floats last-write-win as gauges — and the
+HTTP service keeps a live registry of its request counters.
+:func:`format_trace_block` renders an engine's ``result.stats`` as the
+one-line ``Search trace:`` summary the CLI prints.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 
 @dataclass
@@ -125,36 +125,6 @@ class MetricsRegistry:
             found = self._histograms[name] = Histogram(name)
         return found
 
-    # -- absorption of legacy trace sources -------------------------------
-
-    def absorb(self, prefix: str, source: Any) -> None:
-        """Fold a trace dataclass or mapping into the registry.
-
-        Integer fields accumulate into counters, float fields into
-        gauges (last-write-wins, matching how the legacy dataclasses
-        treat their ``runtime_seconds``-style fields); non-numeric
-        fields are ignored.  Bools are skipped as counters would distort
-        them.  Calling ``absorb`` repeatedly *sums* integer fields,
-        which is exactly the per-pass → per-run aggregation the K-L
-        ``PassTrace`` list needs.
-        """
-        if dataclasses.is_dataclass(source) and not isinstance(source, type):
-            items: Iterable[tuple[str, Any]] = (
-                (f.name, getattr(source, f.name)) for f in dataclasses.fields(source)
-            )
-        elif isinstance(source, Mapping):
-            items = source.items()
-        else:
-            raise TypeError(f"cannot absorb {type(source).__name__} into a MetricsRegistry")
-        for name, value in items:
-            if isinstance(value, bool):
-                continue
-            key = f"{prefix}.{name}" if prefix else name
-            if isinstance(value, int):
-                self.counter(key).add(value)
-            elif isinstance(value, float):
-                self.gauge(key).set(value)
-
     # -- snapshots / merging ----------------------------------------------
 
     def value(self, name: str) -> float | int | None:
@@ -240,13 +210,6 @@ def format_value(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
-
-
-def registry_from_stats(stats: Mapping[str, Any], prefix: str = "") -> MetricsRegistry:
-    """Build a registry from an ``ISEGenerationResult.stats`` mapping."""
-    registry = MetricsRegistry()
-    registry.absorb(prefix, {k: v for k, v in stats.items() if isinstance(v, (int, float))})
-    return registry
 
 
 def format_trace_block(stats: Mapping[str, Any], *, header: str = "Search trace:") -> list[str]:

@@ -113,16 +113,14 @@ def test_genetic_dedupes_duplicate_chromosomes(medium_random_dfg, paper_constrai
 def test_genetic_results_identical_for_reference_and_bitset_evaluator(
     medium_random_dfg, paper_constraints
 ):
-    from repro.core import make_cut_evaluator
+    from tests.oracles.cut_evaluator import ReferenceCutEvaluator
 
     bitset = GeneticSearch(medium_random_dfg, paper_constraints, config=QUICK)
     reference = GeneticSearch(
         medium_random_dfg,
         paper_constraints,
         config=QUICK,
-        evaluator=make_cut_evaluator(
-            medium_random_dfg, paper_constraints, reference=True
-        ),
+        evaluator=ReferenceCutEvaluator(medium_random_dfg, paper_constraints),
     )
     assert bitset.run() == reference.run()
     assert bitset.trace.evaluations == reference.trace.evaluations

@@ -4,14 +4,11 @@ import pickle
 
 import pytest
 
-from repro.core import (
-    BitsetCutEvaluator,
-    ReferenceCutEvaluator,
-    make_cut_evaluator,
-)
+from repro.core import BitsetCutEvaluator
 from repro.dfg import count_io, is_convex, mask_of, random_dfg
 from repro.hwmodel import ISEConstraints, LatencyModel
 from repro.isa import Opcode
+from tests.oracles.cut_evaluator import ReferenceCutEvaluator
 
 
 CONSTRAINTS = ISEConstraints(max_inputs=4, max_outputs=2, max_ises=4)
@@ -21,16 +18,6 @@ def _evaluators(dfg):
     return (
         ReferenceCutEvaluator(dfg, CONSTRAINTS),
         BitsetCutEvaluator(dfg, CONSTRAINTS),
-    )
-
-
-def test_factory_selects_implementation(mac_chain_dfg):
-    assert isinstance(
-        make_cut_evaluator(mac_chain_dfg, CONSTRAINTS), BitsetCutEvaluator
-    )
-    assert isinstance(
-        make_cut_evaluator(mac_chain_dfg, CONSTRAINTS, reference=True),
-        ReferenceCutEvaluator,
     )
 
 

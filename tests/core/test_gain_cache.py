@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core import (
@@ -15,6 +13,7 @@ from repro.core import (
 )
 from repro.dfg import random_dfg
 from repro.hwmodel import ISEConstraints
+from tests.oracles.kl import reference_bipartition
 
 CONSTRAINTS = ISEConstraints(max_inputs=4, max_outputs=2, max_ises=4)
 
@@ -65,7 +64,7 @@ def test_cache_flushes_after_untracked_state_mutation():
 def test_bipartition_identical_with_and_without_cache(seed):
     dfg = random_dfg(55, seed=seed, live_out_fraction=0.2)
     with_cache = bipartition(dfg, CONSTRAINTS, ISEGenConfig())
-    without = bipartition(dfg, CONSTRAINTS, ISEGenConfig(use_gain_cache=False))
+    without = reference_bipartition(dfg, CONSTRAINTS, ISEGenConfig())
     assert with_cache.members == without.members
     assert with_cache.merit == without.merit
     assert len(with_cache.passes) == len(without.passes)
@@ -84,18 +83,8 @@ def test_pass_trace_counts_cache_hits():
         assert total > 0
         assert trace.gain_evals < total, "cache never hit"
         assert trace.gain_cache_hits > total * 0.25
-    plain = bipartition(dfg, CONSTRAINTS, ISEGenConfig(use_gain_cache=False))
+    plain = reference_bipartition(dfg, CONSTRAINTS, ISEGenConfig())
     for trace in plain.passes:
         assert trace.gain_cache_hits == 0
         assert trace.gain_evals > 0
 
-
-def test_exact_candidate_merit_bypasses_cache():
-    """The exact-merit probe mutates the state mid-evaluation; the loop must
-    fall back to the uncached evaluator (and stay correct)."""
-    dfg = random_dfg(20, seed=5, live_out_fraction=0.3)
-    config = ISEGenConfig(exact_candidate_merit=True)
-    exact = bipartition(dfg, CONSTRAINTS, config)
-    exact_no_cache = bipartition(dfg, CONSTRAINTS, replace(config, use_gain_cache=False))
-    assert exact.members == exact_no_cache.members
-    assert all(trace.gain_cache_hits == 0 for trace in exact.passes)

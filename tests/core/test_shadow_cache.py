@@ -1,13 +1,14 @@
 """Shadow-cut cache: bit-identical trajectories, cached legality queries.
 
-The K-L loop's shadow cut ``BC`` historically re-derived convexity and I/O
-legality from scratch for every committed toggle.  With the gain cache on,
-those queries now flow through :class:`~repro.core.ShadowCutCache`.  These
-tests pin the two guarantees that refactor must honour:
+The K-L loop's shadow cut ``BC`` answers its legality queries through
+:class:`~repro.core.ShadowCutCache` instead of re-deriving convexity and I/O
+from scratch for every committed toggle.  These tests pin the two
+guarantees that cache must honour:
 
 * **bit-identicality** — the committed toggle order, the shadow updates and
-  the final cut are exactly those of the uncached reference path, on random
-  graphs and on the paper's 696-node AES block;
+  the final cut are exactly those of the uncached oracle loop
+  (``tests/oracles/kl.py``), on random graphs and on the paper's 696-node
+  AES block;
 * **cache effectiveness** — along a legal toggle trajectory every shadow
   query is served without a from-scratch I/O probe, and on the AES block
   the majority of queries hit the cache.
@@ -19,6 +20,7 @@ from repro.core import ISEGenConfig, bipartition
 from repro.dfg import random_dfg
 from repro.hwmodel import ISEConstraints
 from repro.workloads import load_workload
+from tests.oracles.kl import reference_bipartition
 
 
 def _toggle_orders(result):
@@ -36,9 +38,7 @@ def _shadow_counts(result):
 def test_trajectory_identical_with_and_without_shadow_cache(seed, paper_constraints):
     dfg = random_dfg(50, seed=seed, live_out_fraction=0.2, memory_fraction=0.1)
     cached = bipartition(dfg, paper_constraints, ISEGenConfig())
-    reference = bipartition(
-        dfg, paper_constraints, ISEGenConfig(use_gain_cache=False)
-    )
+    reference = reference_bipartition(dfg, paper_constraints, ISEGenConfig())
     assert _toggle_orders(cached) == _toggle_orders(reference)
     assert cached.members == reference.members
     assert cached.merit == reference.merit
@@ -59,16 +59,6 @@ def test_legal_trajectory_needs_no_fresh_shadow_probes(mac_chain_dfg):
     assert hits > 0
 
 
-def test_uncached_path_counts_every_query_as_fresh(mac_chain_dfg):
-    loose = ISEConstraints(max_inputs=16, max_outputs=8, max_ises=1)
-    result = bipartition(
-        mac_chain_dfg, loose, ISEGenConfig(use_gain_cache=False)
-    )
-    hits, fresh, _updates = _shadow_counts(result)
-    assert hits == 0
-    assert fresh > 0
-
-
 @pytest.mark.slow
 def test_aes_block_trajectory_unchanged_and_mostly_cached():
     """The paper's 696-node AES block: the toggle sequence of every pass is
@@ -79,9 +69,7 @@ def test_aes_block_trajectory_unchanged_and_mostly_cached():
     assert aes.num_nodes == 696
     constraints = ISEConstraints(max_inputs=4, max_outputs=2, max_ises=1)
     cached = bipartition(aes, constraints, ISEGenConfig())
-    reference = bipartition(
-        aes, constraints, ISEGenConfig(use_gain_cache=False)
-    )
+    reference = reference_bipartition(aes, constraints, ISEGenConfig())
     assert _toggle_orders(cached) == _toggle_orders(reference)
     assert cached.members == reference.members
     assert cached.merit == reference.merit

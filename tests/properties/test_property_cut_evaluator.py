@@ -2,17 +2,19 @@
 
 For any valid DFG and any node subset, the memoizing
 :class:`~repro.core.BitsetCutEvaluator` must agree with the from-scratch
-:class:`~repro.core.ReferenceCutEvaluator` on every protocol query — merit,
-convexity, I/O counts, feasibility and convex closure — and both must agree
-with the original reference helpers in :mod:`repro.dfg`.  The shadow-cut
+``ReferenceCutEvaluator`` oracle (``tests/oracles/cut_evaluator.py``) on
+every protocol query — merit, convexity, I/O counts, feasibility and
+convex closure — and both must agree with the original reference helpers
+in :mod:`repro.dfg`.  The shadow-cut
 cache and every refactored baseline stand on this equivalence.
 """
 
 from hypothesis import given, settings
 
-from repro.core import BitsetCutEvaluator, ReferenceCutEvaluator
+from repro.core import BitsetCutEvaluator
 from repro.dfg import convex_closure, count_io, is_convex, mask_of
 from repro.hwmodel import ISEConstraints
+from tests.oracles.cut_evaluator import ReferenceCutEvaluator
 
 from .strategies import graphs_with_subsets
 

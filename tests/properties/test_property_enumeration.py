@@ -1,8 +1,8 @@
 """Differential properties of the frontier-stack enumeration engine.
 
 The production engine (explicit stack, subtree memo, strengthened admissible
-merit bound) must be *bit-identical* to the retained recursive reference on
-any DFG and any constraint configuration:
+merit bound) must be *bit-identical* to the recursive oracle engine
+(``tests/oracles/enumeration.py``) on any DFG and any constraint configuration:
 
 * :func:`~repro.baselines.enumerate_feasible_cuts` yields the same cuts —
   same member sets, merits and I/O counts — in the same depth-first order;
@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import best_single_cut, enumerate_feasible_cuts
-from repro.baselines.enumeration import (
-    _reference_best_single_cut,
-    _reference_enumerate_feasible_cuts,
-)
 from repro.dfg import count_io, is_convex
 from repro.hwmodel import ISEConstraints
+from tests.oracles.enumeration import (
+    reference_best_single_cut,
+    reference_enumerate_feasible_cuts,
+)
 
 from .strategies import dataflow_graphs
 
@@ -50,7 +50,7 @@ def test_stack_enumeration_identical_to_reference(dfg, constraints):
         )
     )
     reference_cuts = _as_rows(
-        _reference_enumerate_feasible_cuts(
+        reference_enumerate_feasible_cuts(
             dfg, constraints, min_size=constraints.min_cut_size, node_limit=64
         )
     )
@@ -63,7 +63,7 @@ def test_stack_best_cut_identical_to_reference(dfg, constraints):
     stack_best = best_single_cut(
         dfg, constraints, min_size=constraints.min_cut_size, node_limit=64
     )
-    reference_best = _reference_best_single_cut(
+    reference_best = reference_best_single_cut(
         dfg, constraints, min_size=constraints.min_cut_size, node_limit=64
     )
     if reference_best is None:

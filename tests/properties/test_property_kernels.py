@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import best_single_cut
 from repro.baselines.genetic import GeneticConfig, GeneticSearch
-from repro.core import ISEGenConfig, bipartition, make_cut_evaluator
+from repro.core import BitsetCutEvaluator, ISEGenConfig, bipartition
 from repro.core.iostate import IOState
 from repro.dfg import mask_of, numpy_available, resolve_kernel
 from repro.hwmodel import ISEConstraints
@@ -182,7 +182,7 @@ def test_genetic_identical_across_kernels(dfg, seed):
     )
     results = {}
     for name in ("pure", "numpy"):
-        evaluator = make_cut_evaluator(dfg, constraints, kernel=name)
+        evaluator = BitsetCutEvaluator(dfg, constraints, kernel=name)
         search = GeneticSearch(dfg, constraints, None, config, evaluator=evaluator)
         members = search.run()
         results[name] = (

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core import ISEGenConfig
-from repro.dfg.serialization import dfg_to_dict
+from repro.dfg.serialization import dfg_from_dict, dfg_to_dict
+from repro.errors import DFGError
 from repro.service import (
     ServiceError,
     build_cells,
@@ -48,13 +51,23 @@ def test_scalar_and_weight_overrides():
         {"max_passes": True},
         {"weights": {"zeta": 1.0}},
         {"weights": {"alpha": "heavy"}},
-        {"use_gain_cache": 1},
+        {"reset_working_cut": 1},
         "not-an-object",
     ],
 )
 def test_bad_overrides_are_service_errors(overrides):
     with pytest.raises(ServiceError):
         isegen_config_from(overrides)
+
+
+@pytest.mark.parametrize(
+    "key", ["use_gain_cache", "exact_candidate_merit", "stall_limit"]
+)
+def test_removed_overrides_are_unknown(key):
+    value = 0 if key == "stall_limit" else False
+    with pytest.raises(ServiceError, match="unknown ISEGenConfig override") as excinfo:
+        parse_job_request({"workload": "conven00", "config": {key: value}})
+    assert excinfo.value.status == 400
 
 
 # ----------------------------------------------------------------------
@@ -148,6 +161,53 @@ def test_program_form_with_frequencies():
 def test_malformed_ir_is_400(ir):
     with pytest.raises(ServiceError) as excinfo:
         parse_job_request({"ir": ir})
+    assert excinfo.value.status == 400
+
+
+#: An int JSON can carry but no float can hold.
+_HUGE = 10**400
+#: Numbers the boundary must refuse: non-finite anywhere, negative where a
+#: latency or an execution frequency is meant.
+_BAD_NUMBERS = [
+    ("sw_latency", math.nan),
+    ("sw_latency", math.inf),
+    ("sw_latency", -1),
+    ("sw_latency", _HUGE),
+    ("hw_delay", math.nan),
+    ("hw_delay", -math.inf),
+    ("hw_delay", -0.5),
+    ("frequency", math.nan),
+    ("frequency", math.inf),
+    ("frequency", _HUGE),
+    ("weights.alpha", math.nan),
+    ("weights.beta", math.inf),
+    ("min_merit", math.nan),
+    ("min_merit", -math.inf),
+]
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    _BAD_NUMBERS,
+    ids=[f"{f}={'huge' if v == _HUGE else v}" for f, v in _BAD_NUMBERS],
+)
+def test_bad_numbers_rejected_at_the_input_boundary(field, value):
+    dfg = dfg_to_dict(figure1_dfg())
+    block = {"dfg": dfg, "frequency": 1.0}
+    config: dict = {}
+    if field in ("sw_latency", "hw_delay"):
+        dfg["nodes"][0][field] = value
+        with pytest.raises(DFGError, match=field):
+            dfg_from_dict(dfg)
+    elif field == "frequency":
+        block["frequency"] = value
+    elif field.startswith("weights."):
+        config["weights"] = {field.split(".")[1]: value}
+    else:
+        config[field] = value
+    payload = {"ir": {"name": "app", "blocks": [block]}, "config": config}
+    with pytest.raises(ServiceError) as excinfo:
+        parse_job_request(payload)
     assert excinfo.value.status == 400
 
 

@@ -1,17 +1,13 @@
-"""Metrics registry: instruments, dataclass absorption, pinned equivalence.
+"""Metrics registry: instruments, cross-process merging, pinned equivalence.
 
-The equivalence tests are the acceptance bar of the telemetry layer: the
-registry *wraps* the legacy trace dataclasses, so every value it reports
-must be bit-identical to the corresponding legacy field (straight sums for
-int fields, last-write-wins for floats) — not approximately equal.
+The K-L equivalence test is the acceptance bar of the telemetry layer: the
+metrics a bipartition emits are read straight out of its ``PassTrace``
+dataclasses, so every value must be bit-identical to the sum of the
+per-pass fields — not approximately equal.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-from repro.baselines import EnumerationTrace, best_single_cut
-from repro.baselines.genetic import GeneticConfig, GeneticSearch, GeneticTrace
 from repro.core import bipartition
 from repro.dfg import random_dfg
 from repro.hwmodel import ISEConstraints
@@ -21,7 +17,6 @@ from repro.telemetry import (
     Histogram,
     MetricsRegistry,
     format_trace_block,
-    registry_from_stats,
 )
 
 _CONSTRAINTS = ISEConstraints(max_inputs=4, max_outputs=2, max_ises=4)
@@ -48,66 +43,19 @@ def test_counter_gauge_histogram_basics():
     assert hist.mean == 2.5
 
 
-def test_absorb_sums_ints_sets_floats_skips_bools():
-    @dataclasses.dataclass
-    class Sample:
-        hits: int = 3
-        seconds: float = 0.5
-        converged: bool = True
-        label: str = "ignored"
-
-    registry = MetricsRegistry()
-    registry.absorb("kl", Sample())
-    registry.absorb("kl", Sample(hits=4, seconds=0.75))
-    assert registry.value("kl.hits") == 7  # ints accumulate
-    assert registry.value("kl.seconds") == 0.75  # floats last-write-win
-    assert registry.value("kl.converged") is None  # bools skipped
-    assert registry.value("kl.label") is None
-
-
 def test_registry_matches_kl_pass_traces_bit_identically():
     dfg = random_dfg(48, seed=11, live_out_fraction=0.2)
     result = bipartition(dfg, _CONSTRAINTS)
-    registry = MetricsRegistry()
-    for trace in result.passes:
-        registry.absorb("kl", trace)
-    for field in dataclasses.fields(result.passes[0]):
-        legacy = [getattr(trace, field.name) for trace in result.passes]
-        if isinstance(legacy[0], bool) or not isinstance(legacy[0], int):
-            continue  # bools are skipped by absorb; floats last-write-win
-        assert registry.value(f"kl.{field.name}") == sum(legacy), field.name
-    # The trace_metrics() view the span layer emits is the same sums.
     metrics = result.trace_metrics()
-    assert metrics["toggles"] == registry.value("kl.toggles")
-    assert metrics["gain_evals"] == registry.value("kl.gain_evals")
+    counters = set(metrics) - {"passes", "merit"}
+    assert {"toggles", "gain_evals", "shadow_cache_hits"} <= counters
+    for name in counters:
+        assert metrics[name] == sum(
+            getattr(trace, name) for trace in result.passes
+        ), name
     assert metrics["passes"] == len(result.passes)
-
-
-def test_registry_matches_genetic_trace_bit_identically():
-    dfg = random_dfg(40, seed=3, live_out_fraction=0.2)
-    config = GeneticConfig(population_size=12, generations=4, stagnation_limit=0, seed=5)
-    search = GeneticSearch(dfg, _CONSTRAINTS, config=config)
-    search.run()
-    registry = MetricsRegistry()
-    registry.absorb("genetic", search.trace)
-    for field in dataclasses.fields(GeneticTrace):
-        legacy = getattr(search.trace, field.name)
-        if isinstance(legacy, bool) or not isinstance(legacy, (int, float)):
-            continue
-        assert registry.value(f"genetic.{field.name}") == legacy, field.name
-
-
-def test_registry_matches_enumeration_trace_bit_identically():
-    dfg = random_dfg(18, seed=21, live_out_fraction=0.3)
-    trace = EnumerationTrace()
-    best_single_cut(dfg, _CONSTRAINTS, node_limit=32, stats=trace)
-    registry = MetricsRegistry()
-    registry.absorb("enum", trace)
-    for field in dataclasses.fields(EnumerationTrace):
-        legacy = getattr(trace, field.name)
-        if isinstance(legacy, bool) or not isinstance(legacy, int):
-            continue
-        assert registry.value(f"enum.{field.name}") == legacy, field.name
+    assert metrics["merit"] == result.merit
+    assert "runtime_seconds" not in metrics  # the kl.bipartition span times it
 
 
 def test_merge_snapshot_aggregates_across_processes():
@@ -150,7 +98,9 @@ def test_format_trace_block_preserves_pinned_strings():
 
 
 def test_registry_from_stats_and_table_rendering():
-    registry = registry_from_stats({"hits": 3, "seconds": 0.5, "name": "x"}, "run")
+    registry = MetricsRegistry()
+    registry.counter("run.hits").add(3)
+    registry.gauge("run.seconds").set(0.5)
     lines = registry.format_table()
     assert any("run.hits" in line and "3" in line for line in lines)
     assert any("run.seconds" in line for line in lines)
