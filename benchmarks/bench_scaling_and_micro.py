@@ -61,7 +61,6 @@ from repro.dfg import (
     mask_of,
     numpy_available,
     random_dfg,
-    resolve_kernel,
 )
 from repro.experiments import run_ablation
 from repro.hwmodel import ISEConstraints
@@ -71,6 +70,7 @@ from tests.oracles.enumeration import (
     reference_best_single_cut,
     reference_enumerate_feasible_cuts,
 )
+from tests.oracles.kernels import forced_kernel, kernel_named
 from tests.oracles.kl import reference_bipartition
 
 from .conftest import run_once
@@ -332,7 +332,7 @@ def test_micro_kernel_popcount_many(benchmark, num_bits, kernel_name):
     """Whole-table popcount — the candidate-sweep primitive behind
     neighbour counts and I/O tallies."""
     benchmark.group = f"micro mask kernels ({num_bits} bits)"
-    kernel = resolve_kernel(kernel_name)
+    kernel = kernel_named(kernel_name)
     masks, table = _kernel_table(kernel, num_bits)
     result = benchmark(lambda: kernel.popcount_many(table))
     assert list(result) == [mask.bit_count() for mask in masks]
@@ -344,7 +344,7 @@ def test_micro_kernel_and_popcount_many(benchmark, num_bits, kernel_name):
     """Whole-table AND-then-popcount against one probe mask — the
     io_counts / closure-overlap primitive."""
     benchmark.group = f"micro mask kernels ({num_bits} bits)"
-    kernel = resolve_kernel(kernel_name)
+    kernel = kernel_named(kernel_name)
     masks, table = _kernel_table(kernel, num_bits)
     probe = random.Random(num_bits + 1).getrandbits(num_bits)
     result = benchmark(lambda: kernel.and_popcount_many(table, probe))
@@ -360,8 +360,9 @@ def test_micro_kernel_aes_bipartition(benchmark, kernel_name):
     program = load_workload("aes")
     aes = max((block.dfg for block in program), key=lambda dfg: dfg.num_nodes)
     constraints = ISEConstraints(max_inputs=4, max_outputs=2, max_ises=1)
-    config = ISEGenConfig(max_passes=1, kernel=kernel_name)
-    result = run_once(benchmark, bipartition, aes, constraints, config)
+    config = ISEGenConfig(max_passes=1)
+    with forced_kernel(kernel_name, aes):
+        result = run_once(benchmark, bipartition, aes, constraints, config)
     benchmark.extra_info["merit"] = result.merit
     benchmark.extra_info["toggles"] = sum(t.toggles for t in result.passes)
 

@@ -152,8 +152,8 @@ class _SearchContext:
     unions) deliberately stays on the big-int view under every mask kernel:
     the masks feed hashed memo signatures and single-mask AND/popcount steps,
     where converting to uint64 lanes would cost more than the op it batches.
-    The *kernel* choice still matters for the leaf merit evaluations, which
-    run through :class:`~repro.core.BitsetCutEvaluator`.
+    The block's kernel still runs the leaf merit evaluations, through
+    :class:`~repro.core.BitsetCutEvaluator`.
     """
 
     def __init__(
@@ -162,7 +162,6 @@ class _SearchContext:
         constraints: ISEConstraints,
         latency_model: LatencyModel,
         allowed: Collection[int] | None,
-        kernel: str | None = None,
     ):
         dfg.prepare()
         self.dfg = dfg
@@ -173,9 +172,7 @@ class _SearchContext:
         #: search reads its static latency tables, its un-memoized
         #: ``merit_once`` and its ``hardware_cycle_floor`` bound hook, which
         #: the protocol does not define.
-        self.evaluator = BitsetCutEvaluator(
-            dfg, constraints, latency_model, kernel=kernel
-        )
+        self.evaluator = BitsetCutEvaluator(dfg, constraints, latency_model)
         if allowed is None:
             allowed_set = {
                 i for i in range(dfg.num_nodes) if not dfg.node_by_index(i).forbidden
@@ -246,14 +243,13 @@ def _drive_enumeration(
     min_size: int,
     node_limit: int,
     stats: SearchStats | None,
-    kernel: str | None = None,
 ) -> Iterator[EnumeratedCut]:
     """Full-enumeration wrapper around a search function *engine*
     (context construction, node-limit guard, stats bookkeeping).  The
     engine is a parameter so the recursive oracle of the test suite runs
     through the very same wrapper as :func:`_stack_search`."""
     model = latency_model or LatencyModel()
-    context = _SearchContext(dfg, constraints, model, allowed, kernel)
+    context = _SearchContext(dfg, constraints, model, allowed)
     _check_node_limit(context, node_limit, "exact enumeration")
     if stats is not None:
         stats.nodes_considered = len(context.order)
@@ -279,12 +275,11 @@ def _drive_best_cut(
     min_size: int,
     node_limit: int,
     stats: SearchStats | None,
-    kernel: str | None = None,
 ) -> EnumeratedCut | None:
     """Single-best-cut wrapper around a search function *engine* (see
     :func:`_drive_enumeration`)."""
     model = latency_model or LatencyModel()
-    context = _SearchContext(dfg, constraints, model, allowed, kernel)
+    context = _SearchContext(dfg, constraints, model, allowed)
     _check_node_limit(context, node_limit, "iterative exact search")
     if stats is not None:
         stats.nodes_considered = len(context.order)
@@ -322,7 +317,6 @@ def enumerate_feasible_cuts(
     min_size: int = 1,
     node_limit: int = DEFAULT_NODE_LIMIT_EXACT,
     stats: SearchStats | None = None,
-    kernel: str | None = None,
 ) -> Iterator[EnumeratedCut]:
     """Yield every non-empty feasible (convex, I/O-legal) cut of *dfg*.
 
@@ -331,7 +325,7 @@ def enumerate_feasible_cuts(
     """
     return _drive_enumeration(
         _stack_search, dfg, constraints, latency_model, allowed,
-        min_size, node_limit, stats, kernel,
+        min_size, node_limit, stats,
     )
 
 
@@ -344,13 +338,12 @@ def best_single_cut(
     min_size: int = 1,
     node_limit: int = DEFAULT_NODE_LIMIT_ITERATIVE,
     stats: SearchStats | None = None,
-    kernel: str | None = None,
 ) -> EnumeratedCut | None:
     """Return the feasible cut with the highest merit (ties: fewer nodes,
     then lexicographically smallest member set, for determinism)."""
     return _drive_best_cut(
         _stack_search, dfg, constraints, latency_model, allowed,
-        min_size, node_limit, stats, kernel,
+        min_size, node_limit, stats,
     )
 
 

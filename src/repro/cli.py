@@ -38,7 +38,6 @@ from .baselines import (
     run_algorithm,
 )
 from .codegen import result_report
-from .dfg.kernels import KERNEL_ENV_VAR, KERNEL_NAMES
 from .errors import ReproError
 from .experiments import (
     run_ablation,
@@ -74,27 +73,6 @@ def _add_constraint_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_NAMES,
-        default=None,
-        help="mask-kernel backend for the bitset substrate: 'pure' (big-int "
-        "reference), 'numpy' (uint64-lane batched ops), or 'auto' (numpy "
-        "when available).  Results are bit-identical across kernels; "
-        "defaults to the ISEGEN_KERNEL environment variable, then auto",
-    )
-
-
-def _apply_kernel_choice(args: argparse.Namespace) -> None:
-    """Export ``--kernel`` into the environment before dispatch so every
-    consumer — including sweep/experiment pool workers, which inherit the
-    parent's environment — resolves the same kernel."""
-    kernel = getattr(args, "kernel", None)
-    if kernel:
-        os.environ[KERNEL_ENV_VAR] = kernel
-
-
 def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
@@ -110,8 +88,7 @@ def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
 
 def _apply_trace_choice(args: argparse.Namespace) -> None:
     """Export ``--trace`` and configure the global tracer before dispatch
-    (mirrors :func:`_apply_kernel_choice` so forked/spawned children pick
-    the sink up from the environment)."""
+    (forked/spawned children pick the sink up from the environment)."""
     trace = getattr(args, "trace", None)
     if trace:
         os.environ[telemetry.TRACE_ENV_VAR] = trace
@@ -698,7 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
         "clean infeasibility error",
     )
     _add_constraint_arguments(sub)
-    _add_kernel_argument(sub)
     _add_trace_argument(sub)
     sub.set_defaults(handler=_cmd_run)
 
@@ -741,7 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="use the full genetic configuration instead of the quick one",
             )
-        _add_kernel_argument(sub)
         _add_trace_argument(sub)
         sub.set_defaults(handler=handler)
 
@@ -833,7 +808,6 @@ def _add_sweep_parsers(subparsers) -> None:
         action="store_true",
         help="keep polling for new submissions instead of exiting when idle",
     )
-    _add_kernel_argument(sub)
     sub.set_defaults(handler=_cmd_sweep_worker)
 
     sub = commands.add_parser(
@@ -911,7 +885,6 @@ def _add_sweep_parsers(subparsers) -> None:
     sub.add_argument(
         "--output", help="directory to save the result tables (JSON + CSV)"
     )
-    _add_kernel_argument(sub)
     _add_trace_argument(sub)
     sub.set_defaults(handler=_cmd_sweep_run)
 
@@ -998,7 +971,6 @@ def _add_service_parsers(subparsers) -> None:
         default=30.0,
         help="ceiling on a single /wait long-poll in seconds (default 30)",
     )
-    _add_kernel_argument(serve)
     _add_trace_argument(serve)
     serve.set_defaults(handler=_cmd_serve)
 
@@ -1170,7 +1142,6 @@ def _add_bench_parsers(subparsers) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_kernel_choice(args)
     _apply_trace_choice(args)
     try:
         return args.handler(args)

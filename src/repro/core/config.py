@@ -55,11 +55,6 @@ def canonical_state(value):
             "fields": {
                 f.name: canonical_state(getattr(value, f.name))
                 for f in dataclasses.fields(value)
-                # Fields marked fingerprint=False are execution details that
-                # cannot change results (e.g. the mask-kernel backend, which
-                # is pinned bit-identical across implementations); excluding
-                # them keeps sweep cache keys stable across environments.
-                if f.metadata.get("fingerprint", True)
             },
         }
     if isinstance(value, dict):
@@ -162,22 +157,10 @@ class ISEGenConfig:
     #: ``True`` every pass restarts ``C`` from the best legal cut found so
     #: far, a more greedy variant kept for the ablation study.
     reset_working_cut: bool = False
-    #: Mask-kernel backend for the bitset substrate: ``"pure"`` (big-int
-    #: reference), ``"numpy"`` (uint64-lane tables + vectorized gain sweep),
-    #: or ``"auto"`` (defer to the ``ISEGEN_KERNEL`` environment variable,
-    #: then pick numpy when available).  Results are bit-identical across
-    #: kernels — cuts, toggle orders, and trace counters — which is why the
-    #: field is excluded from sweep fingerprints.
-    kernel: str = field(default="auto", metadata={"fingerprint": False})
 
     def __post_init__(self) -> None:
         if self.max_passes < 1:
             raise ISEGenError("max_passes must be at least 1")
-        if self.kernel not in ("auto", "pure", "numpy"):
-            raise ISEGenError(
-                f"unknown mask kernel {self.kernel!r} "
-                "(expected 'auto', 'pure' or 'numpy')"
-            )
 
     def with_weights(self, weights: GainWeights) -> "ISEGenConfig":
         return replace(self, weights=weights)

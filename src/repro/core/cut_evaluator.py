@@ -35,7 +35,6 @@ from collections.abc import Collection
 from dataclasses import dataclass
 
 from ..dfg import DataFlowGraph, indices_of_mask, mask_of, popcount
-from ..dfg.kernels import MaskKernel, resolve_kernel
 from ..hwmodel import ISEConstraints, LatencyModel
 
 
@@ -141,17 +140,10 @@ class BitsetCutEvaluator(CutEvaluator):
         dfg: DataFlowGraph,
         constraints: ISEConstraints,
         latency_model: LatencyModel | None = None,
-        *,
-        kernel: str | MaskKernel | None = None,
     ):
         super().__init__(dfg, constraints, latency_model)
         self.index = dfg.bitset_index()
-        if isinstance(kernel, MaskKernel):
-            self.kernel = kernel
-        elif kernel is None:
-            self.kernel = self.index.kernel
-        else:
-            self.kernel = resolve_kernel(kernel)
+        self.kernel = self.index.kernel
         model = self.latency_model
         n = dfg.num_nodes
         self._sw = [model.node_software_cycles(dfg, i) for i in range(n)]
@@ -288,7 +280,7 @@ class BitsetCutEvaluator(CutEvaluator):
         kernel = self.kernel
         np = kernel.np
         index = self.index
-        tables = index.lane_tables(kernel)
+        tables = index.lane_tables()
         n = index.num_nodes
         rows = kernel.indices_of(cut_mask, n)
         inverse_mask = ~cut_mask & index.full_mask

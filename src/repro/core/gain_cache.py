@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 
 from ..dfg import mask_of
-from ..dfg.kernels import NumpyKernel, resolve_kernel
+from ..dfg.kernels import NumpyKernel
 from ..errors import ISEGenError
 from .config import GainWeights
 from .gain import GainBreakdown, GainEvaluator
@@ -282,20 +282,20 @@ class VectorizedGainEvaluator(GainEvaluator):
       counts as missed iff the sweep had to fill one of its invalid
       entries, which is precisely when the scalar ``breakdown`` would have.
 
-    Requires the numpy kernel; :func:`~repro.core.kernighan_lin.bipartition`
-    selects this class when the effective kernel is numpy and falls back to
-    the scalar cache otherwise.
+    Requires a block on the numpy kernel;
+    :func:`~repro.core.kernighan_lin.bipartition` selects this class when
+    the block's index runs numpy and the scalar cache otherwise.
     """
 
     def __init__(
         self,
         state: PartitionState,
         weights: GainWeights | None = None,
-        kernel: NumpyKernel | None = None,
     ):
         super().__init__(state, weights)
-        if kernel is None:
-            kernel = resolve_kernel("numpy")
+        dfg = state.dfg
+        index = dfg.bitset_index()
+        kernel = index.kernel
         if kernel.name != "numpy":
             raise ISEGenError(
                 "VectorizedGainEvaluator requires the numpy mask kernel"
@@ -303,10 +303,8 @@ class VectorizedGainEvaluator(GainEvaluator):
         self.kernel: NumpyKernel = kernel
         np = kernel.np
         self._np = np
-        dfg = state.dfg
         n = dfg.num_nodes
         self._n = n
-        index = dfg.bitset_index()
         self._index = index
         # Static tables.
         self._sw_arr = np.asarray(state._sw_table, dtype=np.int64)

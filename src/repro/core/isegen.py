@@ -41,7 +41,6 @@ class KernighanLinCutFinder(BlockCutFinder):
         "gain_evals",
         "gain_cache_hits",
         "shadow_cache_hits",
-        "shadow_fresh_probes",
     )
 
     def __init__(self, config: ISEGenConfig | None = None):

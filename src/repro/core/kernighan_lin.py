@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 from .. import telemetry
 from ..dfg import Cut, DataFlowGraph
-from ..dfg.kernels import resolve_kernel
+from ..dfg.kernels import dispatch_counts
 from ..hwmodel import ISEConstraints, LatencyModel
 from .config import ISEGenConfig
 from .gain_cache import (
@@ -75,12 +75,6 @@ class PassTrace:
     #: or gain-cache-transferred I/O addendums plus O(words) convexity reads
     #: of the shadow's maintained closure unions.
     shadow_cache_hits: int = 0
-    #: Shadow-cut legality queries that ran a from-scratch O(degree)
-    #: I/O-addendum probe against the shadow state.  Structurally 0 here —
-    #: first-time queries are answered by the mask-based
-    #: :meth:`BitsetIndex.toggle_addendum` formula — while the uncached
-    #: oracle loop (``tests/oracles/kl.py``) counts every query here.
-    shadow_fresh_probes: int = 0
     #: Committed working-cut toggles of this pass, in order (the trajectory
     #: the bit-identicality tests pin).
     toggle_order: list[int] = field(default_factory=list)
@@ -122,7 +116,6 @@ class BipartitionResult:
             "gain_evals": sum(t.gain_evals for t in self.passes),
             "gain_cache_hits": sum(t.gain_cache_hits for t in self.passes),
             "shadow_cache_hits": sum(t.shadow_cache_hits for t in self.passes),
-            "shadow_fresh_probes": sum(t.shadow_fresh_probes for t in self.passes),
             "merit": self.merit,
         }
 
@@ -183,7 +176,8 @@ def _bipartition_impl(
     dfg.prepare()
     started = time.perf_counter()
 
-    kernel = resolve_kernel(config.kernel)
+    kernel = dfg.bitset_index().kernel
+    dispatch_counts[kernel.name] = dispatch_counts.get(kernel.name, 0) + 1
 
     def new_state(members: Iterable[int]) -> PartitionState:
         return PartitionState(
@@ -192,7 +186,6 @@ def _bipartition_impl(
             model,
             allowed=allowed,
             initial_members=members,
-            kernel=kernel,
         )
 
     current_members = frozenset(initial_members)
@@ -213,11 +206,11 @@ def _bipartition_impl(
     # best legal cut at every pass.
     state = new_state(current_members)
     # One gain cache per bipartition: the static per-DFG tables are reused
-    # across passes, only the dynamic entries reset.  Under the numpy kernel
+    # across passes, only the dynamic entries reset.  On a numpy-kernel block
     # the array-resident evaluator replaces the scalar cache (bit-identical
     # trajectories and counters).
     if kernel.name == "numpy":
-        evaluator = VectorizedGainEvaluator(state, config.weights, kernel)
+        evaluator = VectorizedGainEvaluator(state, config.weights)
     else:
         evaluator = CachedGainEvaluator(state, config.weights)
     # BC — the legal shadow cut.  It (and its cache) persists across passes

@@ -23,7 +23,6 @@ import math
 from collections.abc import Collection, Iterable
 
 from ..dfg import DataFlowGraph, indices_of_mask, mask_of, popcount
-from ..dfg.kernels import MaskKernel, resolve_kernel
 from ..errors import ISEGenError
 from ..hwmodel import ISEConstraints, LatencyModel
 from .iostate import IOState
@@ -40,17 +39,10 @@ class PartitionState:
         *,
         allowed: Collection[int] | None = None,
         initial_members: Iterable[int] = (),
-        kernel: str | MaskKernel | None = None,
     ):
         dfg.prepare()
         self.dfg = dfg
         self.index = dfg.bitset_index()
-        if isinstance(kernel, MaskKernel):
-            self.kernel = kernel
-        elif kernel is None:
-            self.kernel = self.index.kernel
-        else:
-            self.kernel = resolve_kernel(kernel)
         self.constraints = constraints
         self.latency_model = latency_model or LatencyModel()
         # Per-node latency tables under this state's model; every committed
@@ -138,9 +130,7 @@ class PartitionState:
         self._recompute_paths_and_components()
 
     def _recompute_closure_unions(self) -> None:
-        self._desc_union, self._anc_union = self.index.closure_masks(
-            self.cut_mask, self.kernel
-        )
+        self._desc_union, self._anc_union = self.index.closure_masks(self.cut_mask)
 
     def _recompute_paths_and_components(self) -> None:
         """Exact critical path + weakly-connected components of the cut."""

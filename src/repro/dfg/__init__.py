@@ -3,13 +3,12 @@
 from .graph import DataFlowGraph, DFGNode, indices_of_mask, mask_of, popcount
 from .bitset import BitsetIndex, SuffixFrontiers, shared_index
 from .kernels import (
-    KERNEL_ENV_VAR,
-    KERNEL_NAMES,
     MaskKernel,
     NumpyKernel,
     PurePythonKernel,
+    kernel_for,
     numpy_available,
-    resolve_kernel,
+    numpy_kernel,
 )
 from .builder import DFGBuilder
 from .cut import Cut, CutFeasibility
@@ -59,13 +58,12 @@ __all__ = [
     "BitsetIndex",
     "SuffixFrontiers",
     "shared_index",
-    "KERNEL_ENV_VAR",
-    "KERNEL_NAMES",
     "MaskKernel",
     "PurePythonKernel",
     "NumpyKernel",
+    "kernel_for",
     "numpy_available",
-    "resolve_kernel",
+    "numpy_kernel",
     "Cut",
     "CutFeasibility",
     "mask_of",

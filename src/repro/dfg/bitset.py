@@ -42,8 +42,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .. import telemetry
+from . import kernels
 from .graph import DataFlowGraph, mask_of, popcount
-from .kernels import MaskKernel, NumpyKernel, resolve_kernel
 
 #: From-scratch :class:`BitsetIndex` constructions in this process (clones
 #: handed out by :func:`shared_index` do not count).  Tests use this to pin
@@ -88,7 +88,6 @@ class _LaneTables:
     """
 
     __slots__ = (
-        "kernel",
         "pred",
         "succ",
         "anc",
@@ -99,10 +98,10 @@ class _LaneTables:
         "live_bits",
     )
 
-    def __init__(self, index: "BitsetIndex", kernel: NumpyKernel):
+    def __init__(self, index: "BitsetIndex"):
         n = index.num_nodes
         n_ext = len(index.ext_consumer_mask)
-        self.kernel = kernel
+        kernel = kernels.numpy_kernel()
         self.pred = kernel.make_table(index.pred_mask, n)
         self.succ = kernel.make_table(index.succ_mask, n)
         self.anc = kernel.make_table(index.anc, n)
@@ -142,10 +141,11 @@ class BitsetIndex:
         build_started = telemetry.clock()
         dfg.prepare()
         self.dfg = dfg
-        self.kernel = resolve_kernel()
         self._lane_tables = None
         n = dfg.num_nodes
         self.num_nodes = n
+        #: The mask kernel every consumer of this block runs on.
+        self.kernel = kernels.kernel_for(n)
         self.full_mask = dfg.full_mask()
         self.forbidden_mask = dfg.forbidden_mask
         self.anc = [dfg.ancestors_mask(i) for i in range(n)]
@@ -199,15 +199,11 @@ class BitsetIndex:
     # ------------------------------------------------------------------
     # Kernel views
     # ------------------------------------------------------------------
-    def lane_tables(self, kernel: NumpyKernel | None = None) -> _LaneTables:
+    def lane_tables(self) -> _LaneTables:
         """The packed-lane view of the tables (numpy kernel only, cached)."""
         tables = self._lane_tables
         if tables is None:
-            if kernel is None:
-                kernel = self.kernel
-                if kernel.name != "numpy":
-                    kernel = resolve_kernel("numpy")
-            tables = _LaneTables(self, kernel)
+            tables = _LaneTables(self)
             self._lane_tables = tables
         return tables
 
@@ -227,9 +223,7 @@ class BitsetIndex:
     # ------------------------------------------------------------------
     # I/O counting
     # ------------------------------------------------------------------
-    def io_counts(
-        self, cut_mask: int, kernel: MaskKernel | None = None
-    ) -> tuple[int, int]:
+    def io_counts(self, cut_mask: int) -> tuple[int, int]:
         """``(num_inputs, num_outputs)`` of the cut, by mask arithmetic.
 
         Inputs are the distinct producers outside the cut feeding some cut
@@ -240,12 +234,12 @@ class BitsetIndex:
         counts — the numpy path replaces the set-bit walk with row-parallel
         table ops.
         """
-        active = kernel or self.kernel
-        if active.name == "numpy" and self.num_nodes:
-            producers = active.union_selected(self.lane_tables().pred, cut_mask)
-            ext = active.union_selected(self.lane_tables().ext_ops, cut_mask)
+        kernel = self.kernel
+        if kernel.name == "numpy" and self.num_nodes:
+            producers = kernel.union_selected(self.lane_tables().pred, cut_mask)
+            ext = kernel.union_selected(self.lane_tables().ext_ops, cut_mask)
             inputs = popcount(producers & ~cut_mask) + popcount(ext)
-            escaping = active.nonzero_rows_and(
+            escaping = kernel.nonzero_rows_and(
                 self.lane_tables().succ, ~cut_mask & self.full_mask
             )
             outputs = popcount((escaping | self.live_out_mask) & cut_mask)
@@ -328,16 +322,14 @@ class BitsetIndex:
     # ------------------------------------------------------------------
     # Convexity
     # ------------------------------------------------------------------
-    def closure_masks(
-        self, cut_mask: int, kernel: MaskKernel | None = None
-    ) -> tuple[int, int]:
+    def closure_masks(self, cut_mask: int) -> tuple[int, int]:
         """``(descendants_union, ancestors_union)`` over the cut's members."""
-        active = kernel or self.kernel
-        if active.name == "numpy" and self.num_nodes:
+        kernel = self.kernel
+        if kernel.name == "numpy" and self.num_nodes:
             tables = self.lane_tables()
             return (
-                active.union_selected(tables.desc, cut_mask),
-                active.union_selected(tables.anc, cut_mask),
+                kernel.union_selected(tables.desc, cut_mask),
+                kernel.union_selected(tables.anc, cut_mask),
             )
         desc_union = 0
         anc_union = 0

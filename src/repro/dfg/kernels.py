@@ -18,27 +18,25 @@ one big-int op per row:
   integer arithmetic, so results are bit-identical to the pure kernel's by
   construction; the Hypothesis differential suite pins it.
 
-Kernel choice is resolved by :func:`resolve_kernel` from (in precedence
-order) an explicit name, the ``ISEGEN_KERNEL`` environment variable, and
-``auto`` detection — ``auto`` picks numpy when it is importable and falls
-back to pure otherwise.  Scalar mask math (single AND/popcount on one
-big-int) stays on the big-int fast path in both kernels: converting an int
-to lanes costs more than the op it would accelerate, so the numpy kernel
-only pays the conversion for *batched* table scans.
+The block's size chooses the kernel, in :func:`kernel_for` alone: numpy
+when it is importable and the block's masks need more than one ``uint64``
+lane (more than 64 nodes), pure otherwise.  Measured on K-L runs, pure is
+the faster kernel up to about 45 nodes and numpy from about 80, with the
+two level in between (PERFORMANCE.md, "Mask kernels").  Scalar mask math
+(single AND/popcount on one big-int) stays on the big-int fast path in both
+kernels: converting an int to lanes costs more than the op it would
+accelerate, so the numpy kernel only pays the conversion for *batched*
+table scans.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator, Sequence
 
 from ..errors import ISEGenError
 
-#: Environment variable consulted by :func:`resolve_kernel` when the caller
-#: does not force a kernel (``ISEGenConfig.kernel == "auto"``).
-KERNEL_ENV_VAR = "ISEGEN_KERNEL"
-
-KERNEL_NAMES = ("auto", "pure", "numpy")
+#: Bits per numpy lane: blocks with more nodes than this run on numpy.
+LANE_BITS = 64
 
 _np = None
 _np_checked = False
@@ -206,8 +204,7 @@ class NumpyKernel(MaskKernel):
         np = _numpy_module()
         if np is None:
             raise ISEGenError(
-                "the numpy mask kernel requires numpy >= 2.0 "
-                "(install it or select ISEGEN_KERNEL=pure)"
+                "the numpy mask kernel requires numpy >= 2.0"
             )
         self.np = np
 
@@ -287,51 +284,47 @@ class NumpyKernel(MaskKernel):
         return self.mask_of_bits(nonzero)
 
 
-_PURE_KERNEL = PurePythonKernel()
+PURE_KERNEL = PurePythonKernel()
 _NUMPY_KERNEL: NumpyKernel | None = None
 
-#: Per-process ``resolve_kernel`` dispatch tally by kernel name — a metrics
-#: source for the telemetry registry (``repro run`` reports it alongside the
-#: engine trace counters; reset is per-process, like ``table_builds``).
+#: Per-process tally of :func:`~repro.core.bipartition` calls by the kernel
+#: each ran on — a metrics source for the telemetry registry (``repro run``
+#: reports it alongside the engine trace counters; reset is per-process,
+#: like ``table_builds``).
 dispatch_counts: dict[str, int] = {}
 
 
-def resolve_kernel(choice: str | None = None) -> MaskKernel:
-    """Resolve a kernel name to a shared kernel instance.
+def numpy_kernel() -> NumpyKernel:
+    """The shared numpy kernel.
 
-    ``None`` and ``"auto"`` defer to the ``ISEGEN_KERNEL`` environment
-    variable; an unset (or ``auto``) environment picks numpy when available
-    and pure otherwise.  An explicit ``"numpy"`` raises
-    :class:`~repro.errors.ISEGenError` when numpy is absent instead of
-    silently degrading.
+    Raises :class:`~repro.errors.ISEGenError` when numpy is absent rather
+    than silently handing out the pure kernel.
     """
     global _NUMPY_KERNEL
-    name = choice if choice not in (None, "", "auto") else os.environ.get(
-        KERNEL_ENV_VAR, "auto"
-    )
-    name = (name or "auto").strip().lower()
-    if name == "auto":
-        name = "numpy" if numpy_available() else "pure"
-    if name == "pure":
-        dispatch_counts["pure"] = dispatch_counts.get("pure", 0) + 1
-        return _PURE_KERNEL
-    if name == "numpy":
-        dispatch_counts["numpy"] = dispatch_counts.get("numpy", 0) + 1
-        if _NUMPY_KERNEL is None:
-            _NUMPY_KERNEL = NumpyKernel()
-        return _NUMPY_KERNEL
-    raise ISEGenError(
-        f"unknown mask kernel {name!r} (expected one of {', '.join(KERNEL_NAMES)})"
-    )
+    if _NUMPY_KERNEL is None:
+        _NUMPY_KERNEL = NumpyKernel()
+    return _NUMPY_KERNEL
+
+
+def kernel_for(num_nodes: int) -> MaskKernel:
+    """The kernel that runs a block of *num_nodes* nodes.
+
+    Numpy when it is available and the masks span more than one lane;
+    pure otherwise.
+    """
+    if num_nodes > LANE_BITS and numpy_available():
+        return numpy_kernel()
+    return PURE_KERNEL
 
 
 __all__ = [
-    "KERNEL_ENV_VAR",
-    "KERNEL_NAMES",
+    "LANE_BITS",
     "LaneTable",
     "MaskKernel",
     "NumpyKernel",
+    "PURE_KERNEL",
     "PurePythonKernel",
+    "kernel_for",
     "numpy_available",
-    "resolve_kernel",
+    "numpy_kernel",
 ]

@@ -1,94 +1,87 @@
-"""Unit tests of the mask-kernel layer: resolution rules and the shared
+"""Unit tests of the mask-kernel layer: the block-size rule and the shared
 per-process BitsetIndex memo (the differential op-level properties live in
 ``tests/properties/test_property_kernels.py``)."""
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.core import ISEGenConfig
 from repro.dfg import (
-    KERNEL_ENV_VAR,
     BitsetIndex,
     PurePythonKernel,
     chain_dfg,
+    kernel_for,
     numpy_available,
+    numpy_kernel,
     random_dfg,
-    resolve_kernel,
 )
 from repro.dfg import bitset as bitset_module
-from repro.dfg.kernels import NumpyKernel
+from repro.dfg import kernels as kernels_module
+from repro.dfg.kernels import LANE_BITS, NumpyKernel
 from repro.errors import ISEGenError
 
 
-# ----------------------------------------------------------------------
-# Kernel resolution
-# ----------------------------------------------------------------------
-def test_explicit_names_resolve_and_are_shared(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    pure = resolve_kernel("pure")
-    assert isinstance(pure, PurePythonKernel)
-    assert resolve_kernel("pure") is pure  # shared singleton
-    if numpy_available():
-        lanes = resolve_kernel("numpy")
-        assert isinstance(lanes, NumpyKernel)
-        assert resolve_kernel("numpy") is lanes
-
-
-def test_auto_defers_to_environment(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV_VAR, "pure")
-    assert resolve_kernel(None).name == "pure"
-    assert resolve_kernel("auto").name == "pure"
-    # An explicit choice always beats the environment.
-    if numpy_available():
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
-        assert resolve_kernel("pure").name == "pure"
-        assert resolve_kernel(None).name == "numpy"
-
-
-def test_auto_without_environment_prefers_numpy(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    expected = "numpy" if numpy_available() else "pure"
-    assert resolve_kernel("auto").name == expected
-
-
-def test_unknown_kernel_name_rejected(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    with pytest.raises(ISEGenError, match="unknown mask kernel"):
-        resolve_kernel("fortran")
-    monkeypatch.setenv(KERNEL_ENV_VAR, "fortran")
-    with pytest.raises(ISEGenError, match="unknown mask kernel"):
-        resolve_kernel(None)
-
-
-def test_explicit_numpy_errors_when_unavailable(monkeypatch):
-    """``--kernel numpy`` must fail loudly, not silently degrade, when the
-    backend is missing (simulated by blanking the module probe)."""
-    from repro.dfg import kernels as kernels_module
-
+def _without_numpy(monkeypatch):
+    """Simulate an environment without numpy by blanking the module probe."""
     monkeypatch.setattr(kernels_module, "_np", None)
     monkeypatch.setattr(kernels_module, "_np_checked", True)
     monkeypatch.setattr(kernels_module, "_NUMPY_KERNEL", None)
     assert not kernels_module.numpy_available()
+
+
+# ----------------------------------------------------------------------
+# The block-size rule
+# ----------------------------------------------------------------------
+def test_kernel_for_keeps_one_lane_blocks_on_pure():
+    assert LANE_BITS == 64
+    for num_nodes in (0, 1, 25, 64):
+        kernel = kernel_for(num_nodes)
+        assert isinstance(kernel, PurePythonKernel)
+        assert kernel is kernel_for(num_nodes)  # shared singleton
+
+
+def test_kernel_for_picks_numpy_above_one_lane():
+    expected = "numpy" if numpy_available() else "pure"
+    for num_nodes in (65, 696):
+        assert kernel_for(num_nodes).name == expected
+    if numpy_available():
+        assert isinstance(kernel_for(65), NumpyKernel)
+        assert kernel_for(65) is numpy_kernel()
+    # The index carries the rule's choice for its block.
+    assert chain_dfg(64).bitset_index().kernel.name == "pure"
+    assert chain_dfg(65).bitset_index().kernel.name == expected
+
+
+def test_kernel_for_ignores_retired_environment_variable(monkeypatch):
+    """``ISEGEN_KERNEL`` no longer selects anything: only the size does."""
+    expected = "numpy" if numpy_available() else "pure"
+    for value in ("pure", "numpy", "fortran"):
+        monkeypatch.setenv("ISEGEN_KERNEL", value)
+        assert kernel_for(64).name == "pure"
+        assert kernel_for(65).name == expected
+
+
+def test_explicit_numpy_errors_when_unavailable(monkeypatch):
+    """Asking for the numpy kernel must fail loudly, not silently degrade,
+    when the backend is missing; the size rule quietly stays on pure."""
+    _without_numpy(monkeypatch)
     with pytest.raises(ISEGenError, match="numpy"):
-        resolve_kernel("numpy")
-    # Auto quietly falls back to the reference kernel.
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    assert resolve_kernel("auto").name == "pure"
+        numpy_kernel()
+    for num_nodes in (0, 64, 65, 696):
+        assert kernel_for(num_nodes).name == "pure"
 
 
-def test_config_validates_kernel_name():
-    assert ISEGenConfig(kernel="pure").kernel == "pure"
-    with pytest.raises(ISEGenError, match="unknown mask kernel"):
-        ISEGenConfig(kernel="fortran")
-
-
-def test_kernel_field_excluded_from_fingerprints():
-    from repro.core import fingerprint
-
-    assert fingerprint(ISEGenConfig(kernel="pure")) == fingerprint(
-        ISEGenConfig(kernel="auto")
-    )
+def test_isegen_config_has_no_kernel_field():
+    assert [f.name for f in dataclasses.fields(ISEGenConfig)] == [
+        "max_passes",
+        "weights",
+        "min_merit",
+        "reset_working_cut",
+    ]
+    with pytest.raises(TypeError):
+        ISEGenConfig(kernel="pure")
 
 
 # ----------------------------------------------------------------------

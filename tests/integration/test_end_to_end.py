@@ -8,7 +8,6 @@ and the baselines, analyse reuse, rewrite the block and emit AFU RTL.
 import pytest
 
 from repro import (
-    ISEConstraints,
     ISEGen,
     load_workload,
 )

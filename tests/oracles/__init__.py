@@ -12,6 +12,10 @@ them:
   engine (``reference_enumerate_feasible_cuts`` /
   ``reference_best_single_cut``).
 
+:mod:`tests.oracles.kernels` is the one test-side way to run a block on a
+chosen mask kernel (``forced_kernel``), so the differential suites can
+compare the two kernels on one graph.
+
 The package is importable from both ``tests/`` and ``benchmarks/`` because
 ``pytest.ini`` puts the repository root on ``sys.path``.
 """

@@ -36,13 +36,12 @@ def reference_enumerate_feasible_cuts(
     min_size: int = 1,
     node_limit: int = DEFAULT_NODE_LIMIT_EXACT,
     stats: SearchStats | None = None,
-    kernel: str | None = None,
 ) -> Iterator[EnumeratedCut]:
     """Recursive-reference flavour of
     :func:`~repro.baselines.enumerate_feasible_cuts`."""
     return _drive_enumeration(
         recursive_search, dfg, constraints, latency_model, allowed,
-        min_size, node_limit, stats, kernel,
+        min_size, node_limit, stats,
     )
 
 
@@ -55,12 +54,11 @@ def reference_best_single_cut(
     min_size: int = 1,
     node_limit: int = DEFAULT_NODE_LIMIT_ITERATIVE,
     stats: SearchStats | None = None,
-    kernel: str | None = None,
 ) -> EnumeratedCut | None:
     """Recursive-reference flavour of :func:`~repro.baselines.best_single_cut`."""
     return _drive_best_cut(
         recursive_search, dfg, constraints, latency_model, allowed,
-        min_size, node_limit, stats, kernel,
+        min_size, node_limit, stats,
     )
 
 

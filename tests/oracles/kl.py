@@ -4,21 +4,31 @@
 any caching: every pass builds a fresh shadow cut ``BC``, every candidate
 gain comes from the plain :class:`~repro.core.gain.GainEvaluator`, and
 every shadow legality query is a from-scratch convexity and I/O probe
-(counted in :attr:`~repro.core.kernighan_lin.PassTrace.shadow_fresh_probes`).
-The production loop must reproduce its toggle orders, shadow updates, cuts
-and merits bit for bit; only the work counters differ.
+(counted in :attr:`OraclePassTrace.shadow_fresh_probes`).  The production
+loop must reproduce its toggle orders, shadow updates, cuts and merits bit
+for bit; only the work counters differ.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Collection, Iterable
+from dataclasses import dataclass
 
 from repro.core import GainEvaluator, ISEGenConfig, PartitionState
 from repro.core.kernighan_lin import BipartitionResult, PassTrace
 from repro.dfg import DataFlowGraph
-from repro.dfg.kernels import resolve_kernel
 from repro.hwmodel import ISEConstraints, LatencyModel
+
+
+@dataclass
+class OraclePassTrace(PassTrace):
+    """A :class:`PassTrace` that also counts the oracle's shadow probes."""
+
+    #: Shadow-cut legality queries, each a from-scratch convexity and I/O
+    #: probe here; the production loop serves the same queries from its
+    #: shadow cache (``PassTrace.shadow_cache_hits``).
+    shadow_fresh_probes: int = 0
 
 
 def exact_merit_if_toggled(state: PartitionState, index: int) -> int:
@@ -52,7 +62,6 @@ def reference_bipartition(
     model = latency_model or LatencyModel()
     dfg.prepare()
     started = time.perf_counter()
-    kernel = resolve_kernel(config.kernel)
 
     def new_state(members: Iterable[int]) -> PartitionState:
         return PartitionState(
@@ -61,7 +70,6 @@ def reference_bipartition(
             model,
             allowed=allowed,
             initial_members=members,
-            kernel=kernel,
         )
 
     current_members = frozenset(initial_members)
@@ -82,7 +90,7 @@ def reference_bipartition(
             state = persistent_state
         shadow = new_state(current_members)
         evaluator = GainEvaluator(state, config.weights)
-        trace = PassTrace(pass_index=pass_index, best_merit=current_merit)
+        trace = OraclePassTrace(pass_index=pass_index, best_merit=current_merit)
         unmarked = [
             index for index in range(dfg.num_nodes) if state.is_allowed(index)
         ]

@@ -10,8 +10,9 @@ reference at every layer of the stack:
   mask-based ``toggle_addendum`` formula reproduces the ``IOState``
   toggle/read/toggle-back probe on arbitrary (even non-convex) cuts;
 * **full pipeline** — K-L bipartition, genetic search and exhaustive
-  enumeration produce the same cuts, toggle orders and trace counters under
-  ``kernel="numpy"`` as under ``kernel="pure"``.
+  enumeration produce the same cuts, toggle orders and trace counters with
+  every block forced onto numpy as with every block forced onto pure
+  (``tests/oracles/kernels.py``).
 
 The whole module is skipped when numpy (>= 2.0) is unavailable — the pure
 kernel is then the only backend and there is nothing to compare.
@@ -25,8 +26,9 @@ from repro.baselines import best_single_cut
 from repro.baselines.genetic import GeneticConfig, GeneticSearch
 from repro.core import BitsetCutEvaluator, ISEGenConfig, bipartition
 from repro.core.iostate import IOState
-from repro.dfg import mask_of, numpy_available, resolve_kernel
+from repro.dfg import mask_of, numpy_available
 from repro.hwmodel import ISEConstraints
+from tests.oracles.kernels import KERNEL_NAMES, forced_kernel, kernel_named
 
 from .strategies import dataflow_graphs, graphs_with_subsets
 
@@ -36,7 +38,7 @@ pytestmark = pytest.mark.skipif(
 
 
 def _kernels():
-    return resolve_kernel("pure"), resolve_kernel("numpy")
+    return kernel_named("pure"), kernel_named("numpy")
 
 
 @st.composite
@@ -113,13 +115,13 @@ def test_scalar_ops_and_conversions_round_trip(num_bits, data):
 @given(graphs_with_subsets(max_nodes=16))
 def test_index_queries_identical_across_kernels(case):
     dfg, subset = case
-    pure, lanes = _kernels()
-    index = dfg.bitset_index()
     cut_mask = mask_of(subset)
-    assert index.io_counts(cut_mask, lanes) == index.io_counts(cut_mask, pure)
-    assert index.closure_masks(cut_mask, lanes) == index.closure_masks(
-        cut_mask, pure
-    )
+    answers = {}
+    for name in KERNEL_NAMES:
+        with forced_kernel(name, dfg):
+            index = dfg.bitset_index()
+            answers[name] = (index.io_counts(cut_mask), index.closure_masks(cut_mask))
+    assert answers["numpy"] == answers["pure"]
 
 
 @settings(max_examples=120, deadline=None)
@@ -153,8 +155,10 @@ def io_budgets(draw):
 def test_bipartition_identical_across_kernels(dfg, constraints):
     """Cuts, merits, toggle orders and every PassTrace counter agree —
     the vectorized gain evaluator is pinned against the scalar cache."""
-    pure_result = bipartition(dfg, constraints, ISEGenConfig(kernel="pure"))
-    lane_result = bipartition(dfg, constraints, ISEGenConfig(kernel="numpy"))
+    with forced_kernel("pure", dfg):
+        pure_result = bipartition(dfg, constraints, ISEGenConfig())
+    with forced_kernel("numpy", dfg):
+        lane_result = bipartition(dfg, constraints, ISEGenConfig())
     assert lane_result.members == pure_result.members
     assert lane_result.merit == pure_result.merit
     assert len(lane_result.passes) == len(pure_result.passes)
@@ -167,10 +171,6 @@ def test_bipartition_identical_across_kernels(dfg, constraints):
         assert lane_pass.gain_evals == pure_pass.gain_evals
         assert lane_pass.gain_cache_hits == pure_pass.gain_cache_hits
         assert lane_pass.shadow_cache_hits == pure_pass.shadow_cache_hits
-        assert lane_pass.shadow_fresh_probes == pure_pass.shadow_fresh_probes
-        # With the gain cache on, the mask-based shadow addendum answers
-        # every first-time legality probe: no query is ever from-scratch.
-        assert lane_pass.shadow_fresh_probes == 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -181,10 +181,11 @@ def test_genetic_identical_across_kernels(dfg, seed):
         population_size=12, generations=8, stagnation_limit=0, seed=seed
     )
     results = {}
-    for name in ("pure", "numpy"):
-        evaluator = BitsetCutEvaluator(dfg, constraints, kernel=name)
-        search = GeneticSearch(dfg, constraints, None, config, evaluator=evaluator)
-        members = search.run()
+    for name in KERNEL_NAMES:
+        with forced_kernel(name, dfg):
+            evaluator = BitsetCutEvaluator(dfg, constraints)
+            search = GeneticSearch(dfg, constraints, None, config, evaluator=evaluator)
+            members = search.run()
         results[name] = (
             members,
             search.trace.evaluations,
@@ -196,6 +197,8 @@ def test_genetic_identical_across_kernels(dfg, seed):
 @settings(max_examples=60, deadline=None)
 @given(dataflow_graphs(max_nodes=14), io_budgets())
 def test_enumeration_best_cut_identical_across_kernels(dfg, constraints):
-    pure_best = best_single_cut(dfg, constraints, kernel="pure", node_limit=64)
-    lane_best = best_single_cut(dfg, constraints, kernel="numpy", node_limit=64)
+    with forced_kernel("pure", dfg):
+        pure_best = best_single_cut(dfg, constraints, node_limit=64)
+    with forced_kernel("numpy", dfg):
+        lane_best = best_single_cut(dfg, constraints, node_limit=64)
     assert lane_best == pure_best

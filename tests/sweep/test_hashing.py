@@ -31,6 +31,14 @@ def test_fingerprint_is_deterministic():
     assert fingerprint(config, salt="a") != fingerprint(config, salt="b")
 
 
+def test_default_isegen_config_fingerprint_is_pinned():
+    """Every sweep store key embeds this digest: a change to the config's
+    fields or to their canonical encoding orphans every stored record."""
+    assert fingerprint(ISEGenConfig()) == (
+        "8e48b552a492a5a1633a44349f2dec2c1e5218c7bd237565f0f782b46d2e4706"
+    )
+
+
 def test_fingerprint_sees_field_changes():
     base = ISEGenConfig()
     assert fingerprint(base) != fingerprint(ISEGenConfig(max_passes=3))

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import ISEGen
+from repro.core import ISEGen, bipartition
+from repro.dfg import numpy_available
 from repro.hwmodel import ISEConstraints
 from repro.workloads import load_workload
 
@@ -53,3 +54,31 @@ def test_isegen_stats_carry_the_core_counters(perfbench):
     )
     missing = [name for name in cases.CORE_COUNTERS if name not in result.stats]
     assert not missing, f"result.stats lacks {missing}"
+
+
+def _dispatch_delta(cases, dfg):
+    before = cases.kernel_counters()
+    bipartition(dfg, ISEConstraints(max_inputs=4, max_outputs=2, max_ises=1))
+    after = cases.kernel_counters()
+    return {
+        name: after[name] - before[name]
+        for name in ("dfg.dispatch_pure", "dfg.dispatch_numpy")
+    }
+
+
+def test_bipartitions_tally_the_kernel_their_block_runs(perfbench):
+    """``kernel_counters`` sees one dispatch per bipartition, on the kernel
+    the block's size picked."""
+    cases, _probes = perfbench
+    small = load_workload("conven00").largest_block.dfg
+    assert small.num_nodes <= 64
+    assert _dispatch_delta(cases, small) == {
+        "dfg.dispatch_pure": 1,
+        "dfg.dispatch_numpy": 0,
+    }
+    large = load_workload("adpcm_decoder").largest_block.dfg
+    assert large.num_nodes > 64
+    expected = {"dfg.dispatch_pure": 0, "dfg.dispatch_numpy": 1}
+    if not numpy_available():
+        expected = {"dfg.dispatch_pure": 1, "dfg.dispatch_numpy": 0}
+    assert _dispatch_delta(cases, large) == expected
